@@ -182,68 +182,3 @@ def test_scenario_safety_plus_goal_fusion(benchmark):
     assert speedup >= 1.3, (
         f"graph sharing gave only {speedup:.2f}x for safety+goal")
 
-
-def test_parallel_shard_exploration(benchmark):
-    """Serial vs sharded (``jobs=2``) frontier exploration, honestly.
-
-    Parallel wall-clock only pays when there is more than one core to
-    run workers on.  On a single-CPU host the parallel leg is *skipped*
-    and the skip is recorded in BENCH_engine.json — an honest "not
-    measurable here" beats a recorded slowdown that the pool's process
-    overhead guarantees.  On a multi-core runner the speedup is recorded
-    and asserted to beat 1x.
-    """
-    from repro.mc import parallel_worthwhile, shard_explore
-
-    system = _gas_system()
-
-    def serial_explore():
-        graph = StateGraph(system)
-        graph.explore()
-        return graph
-
-    serial_graph, serial_seconds = benchmark.pedantic(
-        lambda: _timed(serial_explore), rounds=1, iterations=1)
-    payload = {
-        "system": "gas_station(customers=2, fused)",
-        "states": len(serial_graph.store),
-        "jobs_requested": 2,
-        "serial_seconds": round(serial_seconds, 3),
-    }
-
-    if not parallel_worthwhile():
-        payload["jobs_effective"] = 1
-        payload["parallel_seconds"] = None
-        payload["speedup"] = None
-        payload["note"] = (
-            f"parallel leg skipped: {os.cpu_count() or 1} CPU available, "
-            "worker pool is pure overhead (REPRO_FORCE_PARALLEL=1 forces it)")
-        record(benchmark, jobs=1, serial_seconds=round(serial_seconds, 3),
-               note=payload["note"])
-        _record_json("parallel_exploration", payload)
-        return
-
-    def sharded_explore():
-        graph = StateGraph(system)
-        report = shard_explore(graph, jobs=2)
-        return graph, report
-
-    (sharded_graph, report), parallel_seconds = _timed(sharded_explore)
-    assert len(sharded_graph.store) == len(serial_graph.store)
-    assert report.jobs == 2 and report.note is None
-
-    speedup = serial_seconds / parallel_seconds
-    payload.update({
-        "jobs_effective": report.jobs,
-        "parallel_seconds": round(parallel_seconds, 3),
-        "speedup": round(speedup, 2),
-        "waves": report.waves,
-    })
-    record(benchmark, jobs=report.jobs,
-           serial_seconds=round(serial_seconds, 3),
-           parallel_seconds=round(parallel_seconds, 3),
-           speedup=round(speedup, 2))
-    _record_json("parallel_exploration", payload)
-    assert speedup > 1.0, (
-        f"sharded exploration gave only {speedup:.2f}x with "
-        f"{report.jobs} workers on {os.cpu_count()} CPUs")

@@ -55,9 +55,6 @@ Commands:
   report a local run would have written;
 * ``status [JOB_ID] [--url U] [--events]`` — service summary and job
   list, or one job's detail (``--events`` dumps its event stream);
-* ``sweep [--messages K]`` — verify every send-port/channel combination
-  on a producer/consumer pair and tabulate the verdicts (deprecated:
-  a fixed-function subset of ``explore``);
 * ``export [--out FILE]`` — emit the Promela model of a Figure 2(a)
   connector system;
 * ``graph {block KIND | bridge} [--out FILE]`` — emit Graphviz/DOT for
@@ -380,7 +377,7 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
 
 
 def _pc_space(messages: int):
-    """The producer/consumer port x channel design space (sweep/explore)."""
+    """The producer/consumer port x channel design space (``explore pc``)."""
     from repro.core.channels import CHANNEL_SPECS
     from repro.core.ports import SEND_PORT_SPECS
     from repro.design import ChannelAxis, DesignSpace, SendPortAxis
@@ -395,34 +392,6 @@ def _pc_space(messages: int):
         ],
         fused=True,
     )
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.core import ModelLibrary
-    from repro.core.channels import CHANNEL_SPECS
-    from repro.core.ports import SEND_PORT_SPECS
-    from repro.design import explore
-
-    print("note: 'repro sweep' is deprecated; use 'repro explore pc' "
-          "(cached, parallel, ranked)", file=sys.stderr)
-    library = ModelLibrary()
-    report = explore(_pc_space(args.messages), library=library)
-    header = f"{'send port':26s}{'channel':28s}{'verdict':10s}{'states':>8s}"
-    print(header)
-    print("-" * len(header))
-    results = iter(report.results)
-    for channel in CHANNEL_SPECS:
-        for port in SEND_PORT_SPECS:
-            record = next(results)
-            safety = record["safety"]
-            verdict = "ok" if safety["ok"] else safety["kind"].upper()
-            print(f"{port.kind:26s}{channel.display_name():28s}{verdict:10s}"
-                  f"{record['states']:8d}")
-    stats = library.stats
-    print("-" * len(header))
-    print(f"models built {stats.misses}, reused {stats.hits} "
-          f"({stats.reuse_ratio:.0%} reuse)")
-    return 0
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
@@ -635,18 +604,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     server = VerificationServer((args.host, args.port), manager)
     host, port = server.server_address[:2]
-    mode = "inline" if args.inline else "supervised"
-    print(f"repro serve: listening on http://{host}:{port} "
-          f"(cache {cache_dir}, {args.workers} workers, {mode} jobs)")
-    sys.stdout.flush()
-
     stop = threading.Event()
 
     def _request_stop(signum: int, frame: object) -> None:
         stop.set()
 
+    # Handlers go in before the ready line: a supervisor may signal as
+    # soon as it reads it, and that signal must still drain.
     old_term = signal.signal(signal.SIGTERM, _request_stop)
     old_int = signal.signal(signal.SIGINT, _request_stop)
+    mode = "inline" if args.inline else "supervised"
+    print(f"repro serve: listening on http://{host}:{port} "
+          f"(cache {cache_dir}, {args.workers} workers, {mode} jobs)")
+    sys.stdout.flush()
     try:
         serve_until(server, stop)
     finally:
@@ -1020,11 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="with a job id: dump its event stream "
                              "snapshot (NDJSON)")
 
-    sweep = sub.add_parser(
-        "sweep", help="verify all port/channel combos (deprecated: "
-                      "use 'explore pc')")
-    sweep.add_argument("--messages", type=int, default=2)
-
     export = sub.add_parser("export", help="emit Promela for Figure 2(a)")
     export.add_argument("--out", default=None)
 
@@ -1051,7 +1016,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "status": _cmd_status,
-        "sweep": _cmd_sweep,
         "export": _cmd_export,
         "graph": _cmd_graph,
     }

@@ -407,11 +407,12 @@ def verify_resilience(
             architecture.name, scenarios=len(scenarios), jobs=jobs))
 
     if jobs > 1 and len(scenarios) > 1:
-        from ..mc.shard import parallel_worthwhile
-        if not parallel_worthwhile():
+        if not (os.environ.get("REPRO_FORCE_PARALLEL")
+                or (os.cpu_count() or 1) > 1):
             # One CPU: a process pool is pure overhead (measured 0.87x
             # on the 1-CPU bench machine).  Degrade audibly — the sweep
-            # stays correct, only the fan-out is skipped.
+            # stays correct, only the fan-out is skipped.  Tests set
+            # REPRO_FORCE_PARALLEL to exercise the pool on one CPU.
             message = (
                 "parallel fault sweep degraded to a serial run: only "
                 f"{os.cpu_count() or 1} CPU is available, so a worker "

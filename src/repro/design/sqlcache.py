@@ -159,10 +159,14 @@ class SqliteResultCache:
                 " hits INTEGER NOT NULL DEFAULT 0)")
             conn.execute("CREATE INDEX IF NOT EXISTS records_last_hit"
                          " ON records (last_hit)")
-            conn.execute("INSERT OR IGNORE INTO meta VALUES ('schema', ?)",
-                         (SQLITE_CONTAINER_SCHEMA,))
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key = 'schema'").fetchone()
+            # Write only into a fresh store: an unconditional insert
+            # would take the write lock on every open of a busy store.
+            select = "SELECT value FROM meta WHERE key = 'schema'"
+            row = conn.execute(select).fetchone()
+            if row is None:
+                conn.execute("INSERT OR IGNORE INTO meta VALUES ('schema', ?)",
+                             (SQLITE_CONTAINER_SCHEMA,))
+                row = conn.execute(select).fetchone()
             if row is None or row[0] != SQLITE_CONTAINER_SCHEMA:
                 raise sqlite3.DatabaseError(
                     f"foreign container schema {row and row[0]!r} "
@@ -176,6 +180,8 @@ class SqliteResultCache:
         try:
             self._conn = self._retrying(self._connect, seed="open")
         except sqlite3.DatabaseError as exc:
+            if _is_locked_error(exc):
+                raise  # busy, not damaged: never move a healthy store aside
             self._quarantine(f"unreadable on open: {exc}")
             self._conn = self._connect()  # a fresh file; must succeed
 

@@ -33,6 +33,7 @@ then shuts workers down deliberately.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import random
 import signal
@@ -141,6 +142,11 @@ class JobOutcome:
 
 def _worker_main(task: Callable[[Any], Any], payload: Any, conn) -> None:
     """Run ``task`` in the child; ship the result (or traceback) back."""
+    # A forked child inherits the parent's uncollected garbage.  Collecting
+    # it here would run finalizers that may wait on locks another parent
+    # thread held at fork time and that nobody will ever release; frozen
+    # objects are never collected, so the child's first GC pass cannot hang.
+    gc.freeze()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread

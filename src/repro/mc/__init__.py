@@ -26,7 +26,6 @@ from .budget import (
     TimeLimitExceeded,
 )
 from .engine import CachedTransition, StateGraph, StateStore, TransitionCache
-from .shard import ShardReport, parallel_worthwhile, shard_explore
 from .fairness import FairProduct
 from .explore import (
     SafetyReport,
@@ -76,7 +75,6 @@ __all__ = [
     "Prop",
     "ReplayError",
     "SafetyReport",
-    "ShardReport",
     "SimulationRun",
     "StateGraph",
     "StateLimitExceeded",
@@ -100,7 +98,6 @@ __all__ = [
     "ltl_to_buchi",
     "negate",
     "nnf",
-    "parallel_worthwhile",
     "parse_ltl",
     "prop",
     "process_priority_scheduler",
@@ -108,7 +105,6 @@ __all__ = [
     "reachable_states",
     "replay",
     "round_robin_scheduler",
-    "shard_explore",
     "simulate",
     "sweep_safety",
 ]

@@ -23,6 +23,9 @@ state space itself a reusable artifact:
 All checkers in :mod:`repro.mc` accept a ``StateGraph`` wherever they
 accept a ``System`` or ``Interpreter``; passing a plain system simply
 builds a private graph, so single-shot calls behave exactly as before.
+The breadth-first checkers and :meth:`StateGraph.explore` fill a graph
+through one walk (``repro.mc.explore._bfs``), which discovers states
+densely while the graph is cold.
 Transition order is the interpreter's deterministic order, which is why
 cached and uncached runs produce identical verdicts, shortest
 counterexamples, and statistics (see
@@ -190,57 +193,31 @@ class StateGraph:
         return len(self.cache)
 
     def explore(self, max_states: Optional[int] = None,
-                reporter=None, jobs: Optional[int] = None) -> int:
-        """Eagerly expand the whole reachable graph (pre-warming helper).
+                reporter=None) -> int:
+        """Eagerly expand the reachable graph breadth-first (pre-warming).
 
         Returns the number of distinct states interned.  ``max_states``
-        caps the expansion; the graph stays usable (and lazily
-        completable) either way.  ``reporter`` receives engine events
-        for the warm-up sweep (see :mod:`repro.obs`).  ``jobs > 1``
-        shards the BFS frontier across worker processes (see
-        :mod:`repro.mc.shard`); the sharded path degrades to this
-        serial walk — with a note on the returned report, which this
-        convenience wrapper discards — when parallelism cannot pay.
+        stops the walk like a checker's state budget; the graph stays
+        usable (and lazily completable) either way.  The walk is the one
+        every breadth-first checker runs, so a pre-warmed graph interns
+        its states in the order a cold check would.  ``reporter``
+        receives engine events for the warm-up sweep (see
+        :mod:`repro.obs`).
         """
-        if jobs is not None and jobs > 1:
-            from .shard import shard_explore
-            return shard_explore(self, jobs=jobs, max_states=max_states,
-                                 reporter=reporter).states
+        from .budget import Budget
+        from .explore import _bfs
+        from .result import Statistics
         obs = None
         if reporter is not None:
             from ..obs.events import RunInstrument
             obs = RunInstrument(reporter, "engine-explore", self,
                                 max_states=max_states)
-        queue = [self.initial_id]
-        seen = {self.initial_id}
-        expanded = 0
-        ntrans = 0
-
-        def done() -> int:
-            if obs is not None:
-                from .result import Statistics
-                stats = Statistics(states_stored=len(self.store),
-                                   states_expanded=expanded,
-                                   transitions=ntrans)
-                stats.apply_compile_stats(self.compile_stats)
-                stats.elapsed_seconds = obs.elapsed()
-                obs.finish(ok=True, stats=stats)
-            return len(self.store)
-
-        while queue:
-            sid = queue.pop()
-            transitions = self.cache.transitions(sid)
-            expanded += 1
-            ntrans += len(transitions)
-            if obs is not None:
-                obs.tick(len(self.store), expanded, ntrans, len(queue))
-            for t in transitions:
-                if t.target not in seen:
-                    seen.add(t.target)
-                    if max_states is not None and len(seen) >= max_states:
-                        return done()
-                    queue.append(t.target)
-        return done()
+        stats = Statistics()
+        _bfs(self, stats, Budget(max_states=max_states), obs)
+        if obs is not None:
+            stats.elapsed_seconds = obs.elapsed()
+            obs.finish(ok=True, stats=stats, incomplete=stats.incomplete)
+        return len(self.store)
 
 
 def as_graph(target: Union[System, Interpreter, StateGraph]) -> StateGraph:

@@ -17,6 +17,14 @@ shortening in spirit.  Exploration stops at the first violation unless
 ``stop_at_first=False``, in which case all violations are collected and
 the full space is swept.
 
+Every entry point here — :func:`sweep_safety` / :func:`check_safety`,
+:func:`count_states`, :func:`find_state`, :func:`reachable_states` and
+:meth:`StateGraph.explore <repro.mc.engine.StateGraph.explore>` — runs
+the same breadth-first walk and differs only in what it does when the
+walk stores a state, meets a deadlock or executes a failing assertion.
+On a cold graph the walk uses dense discovery (see :func:`_bfs`), so a
+first check costs the same whatever entry point runs it.
+
 All entry points accept an exploration budget (``max_states``,
 ``max_seconds``).  An exhausted budget stops the sweep where it is and
 returns a *partial* result flagged ``incomplete=True``; passing
@@ -51,7 +59,7 @@ from .budget import (  # noqa: F401  (re-exported for backward compatibility)
     StateLimitExceeded,
     TimeLimitExceeded,
 )
-from .engine import StateGraph, as_graph
+from .engine import CachedTransition, StateGraph, as_graph
 from .props import Prop, StateView
 from .result import (
     Statistics,
@@ -65,6 +73,11 @@ from .result import (
 
 #: Any object the safety checkers can explore.
 Target = Union[System, Interpreter, StateGraph]
+
+#: A walk's parent links: stored id -> (parent id, label that reached it).
+#: A dense walk keeps them in a list indexed by id, a general one in a dict.
+_Parents = Union[List[Tuple[Optional[int], Optional[TransitionLabel]]],
+                 Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]]]
 
 
 @dataclass
@@ -87,18 +100,22 @@ class SafetyReport:
 
 
 @contextmanager
-def _gc_paused():
-    """Pause the cyclic GC for the duration of a dense cold walk.
+def _gc_paused(pause: bool):
+    """Pause the cyclic GC for the duration of a dense (cold) walk.
 
     States and transitions are immutable tuples — acyclic by
     construction — so plain reference counting reclaims every dropped
-    object; all the cyclic collector does during a walk is repeatedly
-    re-scan the steadily growing retained graph (measured at ~30% of a
-    cold sweep on the gas-station workload).  Collection resumes as
-    soon as the walk finishes, so user predicates that do build cycles
-    are still reclaimed — just after the sweep instead of during it.
+    object; all the cyclic collector does during a cold walk is
+    repeatedly re-scan the steadily growing retained graph (measured at
+    ~30% of a cold sweep on the gas-station workload).  Collection
+    resumes as soon as the walk finishes, so user predicates that do
+    build cycles are still reclaimed — just after the sweep instead of
+    during it.  A warm walk grows nothing and is not paused: a pause
+    folds many collections into one, which delays the full collections
+    that free dead graphs (peak RSS rose by a third on cold bridge
+    explorations when warm walks were paused too).
     """
-    was_enabled = gc.isenabled()
+    was_enabled = pause and gc.isenabled()
     if was_enabled:
         gc.disable()
     try:
@@ -121,7 +138,7 @@ def _rebuild_trace(
     graph: StateGraph,
     initial: int,
     violating: int,
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]],
+    parents: _Parents,
     extra: Optional[TraceStep] = None,
 ) -> Trace:
     steps: List[TraceStep] = []
@@ -135,6 +152,161 @@ def _rebuild_trace(
     if extra is not None:
         steps.append(extra)
     return Trace(initial=graph.state(initial), steps=steps)
+
+
+def _bfs(
+    graph: StateGraph,
+    stats: Statistics,
+    budget: Budget,
+    obs: Optional[RunInstrument] = None,
+    on_state: Optional[Callable[[int, _Parents], bool]] = None,
+    on_deadlock: Optional[Callable[[int, _Parents], bool]] = None,
+    on_violation: Optional[
+        Callable[[int, CachedTransition, _Parents], bool]] = None,
+) -> Optional[str]:
+    """The breadth-first walk behind every entry point of this module.
+
+    Expands each stored state once, in discovery order, and calls the
+    optional hooks: ``on_state(sid, parents)`` for every newly stored
+    state (the initial state first), ``on_deadlock(sid, parents)`` for
+    every expanded state without successors, and ``on_violation(sid,
+    transition, parents)`` for every transition that carries an
+    assertion violation.  A hook returning true stops the walk;
+    ``parents`` feeds :func:`_rebuild_trace`.
+
+    The budget is polled before each expansion — an exhausted budget
+    must not silently discard a frontier state whose expansion would
+    then be missing from the partial statistics — and after each newly
+    stored state, which is then neither passed to ``on_state`` nor
+    queued.  Progress ticks go to ``obs``; the cyclic GC is paused while
+    a dense walk runs (see :func:`_gc_paused`).  The walk's counters
+    land in ``stats``; the return value is the exhausted-budget marker,
+    or ``None`` when the walk completed or a hook stopped it.
+
+    Dense discovery: on a *cold* graph (only the initial state interned,
+    nothing expanded) BFS discovery order is exactly interning order —
+    every newly seen target receives the next dense id — so the frontier
+    is the id range ``[expanded, stored)``, "is this target new?" is a
+    single integer comparison, and ``parents`` is an append-only list.
+    A warm graph's interning order may stem from another walk, so there
+    the frontier is a deque and ``parents`` a dict.  Verdicts, traces,
+    and state/transition counts are identical either way (the
+    differential and cold≡warm suites pin this).
+    """
+    initial = graph.initial_id
+    cache = graph.cache
+    cached_succ = cache._succ
+    compute_transitions = cache.transitions
+    drive = cache._drive
+    store_states = graph.store._states
+    dense = len(store_states) == 1 and not cached_succ
+    bounded = not budget.unbounded
+    exceeded = budget.exceeded
+    check_violations = on_violation is not None
+
+    queue: deque[int] = deque([initial])
+    popleft = queue.popleft
+    push = queue.append
+    parents: _Parents
+    if dense:
+        parents = [(None, None)]
+        append_parent = parents.append
+    else:
+        parents = {initial: (None, None)}
+    stats.apply_compile_stats(graph.compile_stats)
+    _sample_frontier(stats, queue)
+
+    # Counters live in plain locals while the walk runs — dataclass
+    # attribute read-modify-write is measurable at ~100k transitions/s —
+    # and are published to ``stats`` once the walk ends.
+    n_stored = max_frontier = 1
+    n_expanded = n_trans = 0
+    exhausted: Optional[str] = None
+    stopped = on_state is not None and on_state(initial, parents)
+    if not stopped:
+        with _gc_paused(dense):
+            while n_expanded < n_stored:
+                if bounded:
+                    exhausted = exceeded(n_stored)
+                    if exhausted is not None:
+                        break
+                if dense:
+                    sid = n_expanded
+                    transitions = None
+                else:
+                    sid = popleft()
+                    transitions = cached_succ.get(sid)
+                if transitions is None:
+                    # The compiled driver (when present) is called
+                    # directly instead of through the cache's method.
+                    if drive is None:
+                        transitions = compute_transitions(sid)
+                    else:
+                        transitions = cached_succ[sid] = tuple(
+                            drive(store_states[sid]))
+                        cache.misses += 1
+                n_expanded += 1
+                n_trans += len(transitions)
+                if obs is not None:
+                    obs.tick(n_stored, n_expanded, n_trans,
+                             n_stored - n_expanded)
+                if not transitions and on_deadlock is not None \
+                        and on_deadlock(sid, parents):
+                    stopped = True
+                    break
+                for t in transitions:
+                    if check_violations and t.violation \
+                            and on_violation(sid, t, parents):
+                        break
+                    target = t.target
+                    if dense:
+                        if target < n_stored:
+                            continue
+                        append_parent((sid, t.label))
+                    elif target in parents:
+                        continue
+                    else:
+                        parents[target] = (sid, t.label)
+                    n_stored += 1
+                    if bounded:
+                        exhausted = exceeded(n_stored)
+                        if exhausted is not None:
+                            break
+                    if on_state is not None and on_state(target, parents):
+                        break
+                    if not dense:
+                        push(target)
+                        if len(queue) > max_frontier:
+                            max_frontier = len(queue)
+                            _sample_frontier(stats, queue)
+                else:
+                    if dense and n_stored - n_expanded > max_frontier:
+                        max_frontier = n_stored - n_expanded
+                    continue
+                # A hook or the budget stopped the walk mid-expansion.
+                # On a budget stop the states queued before it count
+                # towards the peak frontier, as they do on the general
+                # path.
+                if exhausted is None:
+                    stopped = True
+                elif dense and n_stored - 1 - n_expanded > max_frontier:
+                    max_frontier = n_stored - 1 - n_expanded
+                break
+    # A dense walk samples its peak frontier once, unless a hook stopped
+    # it (a counterexample run reports the initial sample).
+    if dense and not stopped and max_frontier > 1:
+        _sample_frontier(stats, deque(range(max_frontier)))
+
+    stats.states_stored = n_stored
+    stats.states_expanded = n_expanded
+    stats.transitions = n_trans
+    stats.max_frontier = max_frontier
+    if exhausted is not None:
+        stats.incomplete = True
+        stats.budget_exhausted = exhausted
+        if obs is not None:
+            obs.budget(exhausted, n_stored)
+    return exhausted
 
 
 def check_safety(
@@ -216,51 +388,18 @@ def sweep_safety(
     """Breadth-first safety exploration; see :func:`check_safety`."""
     graph = as_graph(target)
     system = graph.system
+    initial = graph.initial_id
+    state_of = graph.store.state
     budget = Budget(max_states=max_states, max_seconds=max_seconds,
                     raise_on_limit=raise_on_limit, stop=stop)
-    start = budget.started_at
     obs = None if reporter is None else RunInstrument(
         reporter, "safety-bfs", graph, max_states=max_states,
-        max_seconds=max_seconds, started_at=start)
-
-    initial = graph.initial_id
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]] = {
-        initial: (None, None)
-    }
-    queue: deque[int] = deque([initial])
-    stats = Statistics(states_stored=1, max_frontier=1)
-    stats.apply_compile_stats(graph.compile_stats)
-    _sample_frontier(stats, queue)
-    report = SafetyReport(stats=stats)
-
-    # Statistics counters live in plain locals while the sweep runs —
-    # dataclass attribute read-modify-write is measurable at ~100k
-    # transitions/s — and ``flush`` publishes them whenever the stats
-    # object escapes: on a violation, a budget stop, or completion.
-    n_stored = stats.states_stored
-    n_expanded = stats.states_expanded
-    n_trans = stats.transitions
-    max_frontier = stats.max_frontier
-
-    def flush() -> None:
-        stats.states_stored = n_stored
-        stats.states_expanded = n_expanded
-        stats.transitions = n_trans
-        stats.max_frontier = max_frontier
-
-    def done() -> SafetyReport:
-        flush()
-        if obs is not None:
-            if report.budget_exhausted is not None:
-                obs.budget(report.budget_exhausted, stats.states_stored)
-            obs.finish(ok=report.ok, stats=stats,
-                       incomplete=report.incomplete)
-        return report
+        max_seconds=max_seconds, started_at=budget.started_at)
+    report = SafetyReport()
+    stats = report.stats
 
     def fail(kind: str, message: str, trace: Trace) -> bool:
         """Record a violation; return True if exploration should stop."""
-        flush()
-        stats.elapsed_seconds = time.perf_counter() - start
         report.results.append(
             VerificationResult(
                 ok=False,
@@ -276,175 +415,45 @@ def sweep_safety(
                                trace_length=len(trace.steps))
         return stop_at_first
 
-    # Check invariants on the initial state before exploring.
-    for p in invariants:
-        if not p.evaluate(system, graph.state(initial)):
-            if fail(
+    def on_state(sid: int, parents: _Parents) -> bool:
+        view = StateView(system, state_of(sid))
+        where = " in the initial state" if sid == initial else ""
+        for p in invariants:
+            if not p.fn(view) and fail(
                 VIOLATION_INVARIANT,
-                f"invariant {p.name!r} violated in the initial state",
-                Trace(initial=graph.state(initial)),
-            ):
-                stats.elapsed_seconds = time.perf_counter() - start
-                return done()
-
-    # Hot-loop bindings: the BFS below visits every cached transition of
-    # every reachable state, so attribute lookups and delegation frames
-    # (graph.transitions -> cache.transitions -> dict.get) are hoisted
-    # out of the loop, and the compiled driver (when present) is called
-    # directly on a cache miss instead of through the cache's method.
-    # ``unbounded`` budgets skip the per-state poll entirely —
-    # ``Budget.exceeded`` can never fire without limits.
-    cache = graph.cache
-    cached_succ = cache._succ
-    compute_transitions = cache.transitions
-    drive = cache._drive
-    store_states = graph.store._states
-    state_of = graph.store.state
-    unbounded = budget.unbounded
-    inv_fns = [(p, p.fn) for p in invariants]
-    popleft = queue.popleft
-    push = queue.append
-
-    # Dense cold walk: on a *cold* store with a compiled driver, BFS
-    # discovery order is exactly interning order — every newly seen
-    # target receives the next dense id — so the frontier is the
-    # integer range [expanded, stored), "is this target new?" is a
-    # single integer comparison, and the parent map is an append-only
-    # list.  The deque and the per-target dict probes disappear.
-    # Verdicts, traces, and statistics are identical to the general
-    # loop below (the differential and cold≡warm suites pin this); the
-    # general loop remains the only path for warm graphs (whose
-    # interning order may stem from another checker's visit order),
-    # budgeted runs, and instrumented runs.
-    if (drive is not None and obs is None and unbounded
-            and len(store_states) == 1 and not cached_succ):
-        dense_parents: List[Tuple[Optional[int], Optional[TransitionLabel]]] \
-            = [(None, None)]
-        parents = dense_parents  # type: ignore[assignment]
-        append_parent = dense_parents.append
-        sid = 0
-        with _gc_paused():
-            while sid < n_stored:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-                n_trans += len(transitions)
-                n_expanded += 1
-                if not transitions and check_deadlock \
-                        and not graph.is_valid_end_state(sid):
-                    blocked = ", ".join(
-                        i.name for i in graph.blocked_processes(sid))
-                    if fail(
-                        VIOLATION_DEADLOCK,
-                        f"invalid end state (deadlock); "
-                        f"blocked processes: {blocked}",
-                        _rebuild_trace(graph, initial, sid, parents),
-                    ):
-                        return done()
-                for t in transitions:
-                    if check_assertions and t.violation:
-                        trace = _rebuild_trace(
-                            graph, initial, sid, parents,
-                            extra=TraceStep(t.label, state_of(t.target)),
-                        )
-                        if fail(VIOLATION_ASSERTION, t.violation, trace):
-                            return done()
-                    target = t.target
-                    if target >= n_stored:
-                        append_parent((sid, t.label))
-                        n_stored += 1
-                        for p, fn in inv_fns:
-                            if not fn(StateView(system, state_of(target))):
-                                trace = _rebuild_trace(
-                                    graph, initial, target, parents)
-                                if fail(
-                                    VIOLATION_INVARIANT,
-                                    f"invariant {p.name!r} violated",
-                                    trace,
-                                ):
-                                    return done()
-                frontier = n_stored - sid - 1
-                if frontier > max_frontier:
-                    max_frontier = frontier
-                sid += 1
-        if max_frontier > 1:
-            _sample_frontier(stats, deque(range(max_frontier)))
-        stats.elapsed_seconds = time.perf_counter() - start
-        return done()
-
-    exhausted: Optional[str] = None
-    while queue:
-        # Check the budget *before* popping: an exhausted budget must not
-        # silently discard a frontier state whose expansion would then be
-        # missing from the partial statistics.
-        if not unbounded:
-            flush()
-            exhausted = budget.exceeded(n_stored)
-            if exhausted is not None:
-                break
-        sid = popleft()
-        transitions = cached_succ.get(sid)
-        if transitions is None:
-            if drive is not None:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-            else:
-                transitions = compute_transitions(sid)
-        n_trans += len(transitions)
-        n_expanded += 1
-        if obs is not None:
-            flush()
-            obs.tick(n_stored, n_expanded, n_trans, len(queue))
-
-        if not transitions and check_deadlock and not graph.is_valid_end_state(sid):
-            blocked = ", ".join(i.name for i in graph.blocked_processes(sid))
-            if fail(
-                VIOLATION_DEADLOCK,
-                f"invalid end state (deadlock); blocked processes: {blocked}",
+                f"invariant {p.name!r} violated{where}",
                 _rebuild_trace(graph, initial, sid, parents),
             ):
-                return done()
+                return True
+        return False
 
-        for t in transitions:
-            if check_assertions and t.violation:
-                trace = _rebuild_trace(
-                    graph, initial, sid, parents,
-                    extra=TraceStep(t.label, state_of(t.target)),
-                )
-                if fail(VIOLATION_ASSERTION, t.violation, trace):
-                    return done()
-            target = t.target
-            if target in parents:
-                continue
-            parents[target] = (sid, t.label)
-            n_stored += 1
-            if not unbounded:
-                flush()
-                exhausted = budget.exceeded(n_stored)
-                if exhausted is not None:
-                    break
-            for p, fn in inv_fns:
-                if not fn(StateView(system, state_of(target))):
-                    trace = _rebuild_trace(graph, initial, target, parents)
-                    if fail(
-                        VIOLATION_INVARIANT,
-                        f"invariant {p.name!r} violated",
-                        trace,
-                    ):
-                        return done()
-            push(target)
-            if len(queue) > max_frontier:
-                max_frontier = len(queue)
-                _sample_frontier(stats, queue)
-        if exhausted is not None:
-            break
+    def on_deadlock(sid: int, parents: _Parents) -> bool:
+        if graph.is_valid_end_state(sid):
+            return False
+        blocked = ", ".join(i.name for i in graph.blocked_processes(sid))
+        return fail(
+            VIOLATION_DEADLOCK,
+            f"invalid end state (deadlock); blocked processes: {blocked}",
+            _rebuild_trace(graph, initial, sid, parents),
+        )
 
-    stats.elapsed_seconds = time.perf_counter() - start
-    if exhausted is not None:
-        report.incomplete = True
-        report.budget_exhausted = exhausted
-        stats.incomplete = True
-        stats.budget_exhausted = exhausted
-    return done()
+    def on_violation(sid: int, t: CachedTransition, parents: _Parents) -> bool:
+        trace = _rebuild_trace(graph, initial, sid, parents,
+                               extra=TraceStep(t.label, state_of(t.target)))
+        return fail(VIOLATION_ASSERTION, t.violation, trace)
+
+    exhausted = _bfs(
+        graph, stats, budget, obs,
+        on_state=on_state if invariants else None,
+        on_deadlock=on_deadlock if check_deadlock else None,
+        on_violation=on_violation if check_assertions else None,
+    )
+    stats.elapsed_seconds = time.perf_counter() - budget.started_at
+    report.incomplete = exhausted is not None
+    report.budget_exhausted = exhausted
+    if obs is not None:
+        obs.finish(ok=report.ok, stats=stats, incomplete=report.incomplete)
+    return report
 
 
 def count_states(
@@ -463,94 +472,13 @@ def count_states(
     graph = as_graph(target)
     budget = Budget(max_states=max_states, max_seconds=max_seconds,
                     raise_on_limit=raise_on_limit)
-    start = budget.started_at
     obs = None if reporter is None else RunInstrument(
         reporter, "count-states", graph, max_states=max_states,
-        max_seconds=max_seconds, started_at=start)
-    initial = graph.initial_id
-    seen = {initial}
-    queue: deque[int] = deque([initial])
-    stats = Statistics(states_stored=1, max_frontier=1)
-    stats.apply_compile_stats(graph.compile_stats)
-    _sample_frontier(stats, queue)
-    cache = graph.cache
-    cached_succ = cache._succ
-    compute_transitions = cache.transitions
-    drive = cache._drive
-    store_states = graph.store._states
-    unbounded = budget.unbounded
-    popleft = queue.popleft
-    push = queue.append
-    seen_add = seen.add
-    # Counters in locals; published to the dataclass after the walk.
-    n_stored = stats.states_stored
-    n_expanded = stats.states_expanded
-    n_trans = stats.transitions
-    max_frontier = stats.max_frontier
-    # Dense cold walk (see sweep_safety): on a cold store BFS discovery
-    # order is interning order, so counting needs no seen-set at all —
-    # the stored count *is* the store's length.
-    if (drive is not None and obs is None and unbounded
-            and len(store_states) == 1 and not cached_succ):
-        sid = 0
-        with _gc_paused():
-            while sid < len(store_states):
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-                n_expanded += 1
-                n_trans += len(transitions)
-                frontier = len(store_states) - sid - 1
-                if frontier > max_frontier:
-                    max_frontier = frontier
-                sid += 1
-        n_stored = len(store_states)
-        if max_frontier > 1:
-            _sample_frontier(stats, deque(range(max_frontier)))
-        stats.states_stored = n_stored
-        stats.states_expanded = n_expanded
-        stats.transitions = n_trans
-        stats.max_frontier = max_frontier
-        stats.elapsed_seconds = time.perf_counter() - start
-        return stats
-
-    exhausted: Optional[str] = None
-    while queue and exhausted is None:
-        sid = popleft()
-        transitions = cached_succ.get(sid)
-        if transitions is None:
-            if drive is not None:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-            else:
-                transitions = compute_transitions(sid)
-        n_expanded += 1
-        if obs is not None:
-            obs.tick(n_stored, n_expanded, n_trans, len(queue))
-        for t in transitions:
-            n_trans += 1
-            target = t.target
-            if target not in seen:
-                seen_add(target)
-                n_stored += 1
-                if not unbounded:
-                    exhausted = budget.exceeded(n_stored)
-                    if exhausted is not None:
-                        break
-                push(target)
-        if len(queue) > max_frontier:
-            max_frontier = len(queue)
-            _sample_frontier(stats, queue)
-    stats.states_stored = n_stored
-    stats.states_expanded = n_expanded
-    stats.transitions = n_trans
-    stats.max_frontier = max_frontier
-    stats.elapsed_seconds = time.perf_counter() - start
-    if exhausted is not None:
-        stats.incomplete = True
-        stats.budget_exhausted = exhausted
+        max_seconds=max_seconds, started_at=budget.started_at)
+    stats = Statistics()
+    _bfs(graph, stats, budget, obs)
+    stats.elapsed_seconds = time.perf_counter() - budget.started_at
     if obs is not None:
-        if exhausted is not None:
-            obs.budget(exhausted, stats.states_stored)
         obs.finish(ok=True, stats=stats, incomplete=stats.incomplete)
     return stats
 
@@ -568,18 +496,9 @@ def reachable_states(
     graph = as_graph(target)
     budget = Budget(max_states=max_states, max_seconds=max_seconds,
                     raise_on_limit=True)
-    initial = graph.initial_id
-    seen = {initial}
-    order = [initial]
-    queue: deque[int] = deque([initial])
-    while queue:
-        sid = queue.popleft()
-        for t in graph.transitions(sid):
-            if t.target not in seen:
-                seen.add(t.target)
-                order.append(t.target)
-                budget.exceeded(len(seen))
-                queue.append(t.target)
+    order: List[int] = []
+    _bfs(graph, Statistics(), budget,
+         on_state=lambda sid, parents: order.append(sid))
     return [graph.state(sid) for sid in order]
 
 
@@ -603,89 +522,25 @@ def find_state(
     """
     graph = as_graph(target)
     system = graph.system
+    state_of = graph.store.state
     budget = Budget(max_states=max_states, max_seconds=max_seconds,
                     raise_on_limit=True)
     obs = None if reporter is None else RunInstrument(
         reporter, "find-state", graph, max_states=max_states,
         max_seconds=max_seconds, started_at=budget.started_at)
-    initial = graph.initial_id
-    if predicate.evaluate(system, graph.state(initial)):
-        if obs is not None:
-            obs.finish(ok=True, stats=Statistics(states_stored=1))
-        return Trace(initial=graph.state(initial))
-    parents: Dict[int, Tuple[Optional[int], Optional[TransitionLabel]]] = {
-        initial: (None, None)
-    }
-    queue: deque[int] = deque([initial])
-    expanded = 0
-
-    def found(trace: Optional[Trace]) -> Optional[Trace]:
-        if obs is not None:
-            stats = Statistics(states_stored=len(parents),
-                               states_expanded=expanded)
-            stats.apply_compile_stats(graph.compile_stats)
-            stats.elapsed_seconds = time.perf_counter() - budget.started_at
-            obs.finish(ok=True, stats=stats)
-        return trace
-
-    cache = graph.cache
-    cached_succ = cache._succ
-    compute_transitions = cache.transitions
-    drive = cache._drive
-    store_states = graph.store._states
-    state_of = graph.store.state
-    unbounded = budget.unbounded
     pred_fn = predicate.fn
+    found: List[Trace] = []
 
-    # Dense cold walk (see sweep_safety): discovery order == interning
-    # order on a cold store, so the frontier is an integer range and
-    # the parent map an append-only list.
-    if (drive is not None and obs is None and unbounded
-            and len(store_states) == 1 and not cached_succ):
-        dense_parents: List[Tuple[Optional[int], Optional[TransitionLabel]]] \
-            = [(None, None)]
-        parents = dense_parents  # type: ignore[assignment]
-        append_parent = dense_parents.append
-        n_parents = 1
-        sid = 0
-        with _gc_paused():
-            while sid < n_parents:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-                expanded += 1
-                for t in transitions:
-                    target = t.target
-                    if target >= n_parents:
-                        append_parent((sid, t.label))
-                        n_parents += 1
-                        if pred_fn(StateView(system, state_of(target))):
-                            return found(
-                                _rebuild_trace(graph, initial, target, parents))
-                sid += 1
-        return found(None)
+    def on_state(sid: int, parents: _Parents) -> bool:
+        if pred_fn(StateView(system, state_of(sid))):
+            found.append(
+                _rebuild_trace(graph, graph.initial_id, sid, parents))
+            return True
+        return False
 
-    popleft = queue.popleft
-    push = queue.append
-    while queue:
-        sid = popleft()
-        expanded += 1
-        if obs is not None:
-            obs.tick(len(parents), expanded, 0, len(queue))
-        transitions = cached_succ.get(sid)
-        if transitions is None:
-            if drive is not None:
-                transitions = cached_succ[sid] = tuple(drive(store_states[sid]))
-                cache.misses += 1
-            else:
-                transitions = compute_transitions(sid)
-        for t in transitions:
-            target = t.target
-            if target in parents:
-                continue
-            parents[target] = (sid, t.label)
-            if not unbounded:
-                budget.exceeded(len(parents))
-            if pred_fn(StateView(system, state_of(target))):
-                return found(_rebuild_trace(graph, initial, target, parents))
-            push(target)
-    return found(None)
+    stats = Statistics()
+    _bfs(graph, stats, budget, obs, on_state=on_state)
+    if obs is not None:
+        stats.elapsed_seconds = time.perf_counter() - budget.started_at
+        obs.finish(ok=True, stats=stats)
+    return found[0] if found else None

@@ -193,6 +193,20 @@ class TestEviction:
                 timer.join()
             assert cache.get(FP_B)["verdict"] == "FAIL"
 
+    def test_open_during_a_write_transaction_keeps_the_store(self, tmp_path):
+        with SqliteResultCache(tmp_path) as cache:
+            cache.put(FP_A, {"verdict": "PASS"})
+        blocker = sqlite3.connect(tmp_path / "cache.sqlite")
+        blocker.isolation_level = None
+        blocker.execute("BEGIN IMMEDIATE")
+        try:
+            with SqliteResultCache(tmp_path) as cache:
+                assert cache.quarantined is None
+                assert cache.get(FP_A)["verdict"] == "PASS"
+        finally:
+            blocker.execute("ROLLBACK")
+            blocker.close()
+
 
 class TestBackendFactory:
     def test_fresh_directory_defaults_to_sqlite(self, tmp_path):

@@ -1,6 +1,8 @@
 """The supervised worker pool: classification, retries, timeouts."""
 
+import gc
 import os
+import threading
 
 from repro.design import (
     CAUSE_EXCEPTION,
@@ -27,6 +29,23 @@ def _raise_if_negative(payload):
     if payload < 0:
         raise ValueError(f"bad payload {payload}")
     return payload
+
+
+def _collect_garbage(payload):
+    gc.collect()
+    return payload
+
+
+class _LocksOnDel:
+    """A reference cycle whose finalizer takes a lock."""
+
+    def __init__(self, lock):
+        self.lock = lock
+        self.cycle = self
+
+    def __del__(self):
+        with self.lock:
+            pass
 
 
 def _sleep_for(payload):
@@ -119,3 +138,34 @@ class TestStopping:
         outcomes = pool.run(_double, [1, 2, 3])
         assert len(outcomes) == 3  # sanity: unset flag runs everything
         assert pool.run(_double, [1, 2, 3], stop=flag) == []
+
+
+class TestForkedGarbage:
+    def test_sandbox_never_finalizes_garbage_inherited_at_fork(self):
+        # A lock held by another parent thread at fork time stays held in
+        # the child forever; a finalizer waiting on it would hang the
+        # sandbox's first GC pass.
+        lock = threading.Lock()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold)
+        gc.disable()
+        try:
+            _LocksOnDel(lock)  # unreachable, uncollected until the fork
+            holder.start()
+            held.wait(10)
+            pool = SupervisedPool(1, timeout=3.0, context="fork",
+                                  retry=RetryPolicy(max_retries=0))
+            outcomes = pool.run(_collect_garbage, [7])
+        finally:
+            release.set()
+            holder.join()
+            gc.enable()
+            gc.collect()
+        assert outcomes[0].ok, outcomes[0].failure
+        assert outcomes[0].result == 7

@@ -52,12 +52,6 @@ class TestCommands:
         assert main(["bridge", "--variant", "atmostn"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_sweep(self, capsys):
-        assert main(["sweep", "--messages", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "models built" in out
-        assert "fifo_queue" in out
-
     def test_export_stdout(self, capsys):
         assert main(["export"]) == 0
         out = capsys.readouterr().out
@@ -240,13 +234,6 @@ class TestExploreCommand:
         md = capsys.readouterr().out
         assert md.startswith("# Design-space exploration")
         assert "best" in md.lower()
-
-    def test_sweep_is_deprecated_in_favor_of_explore(self, capsys):
-        assert main(["sweep", "--messages", "1"]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "explore pc" in captured.err
-        assert "models built" in captured.out
 
 
 class TestExitCodeContract:

@@ -8,7 +8,8 @@ engine-overhaul contract across every ``repro.systems`` case study:
 * identical verdicts, messages, and shortest counterexamples;
 * identical state/transition/expansion statistics;
 * whether the graph is cold, pre-warmed by a different checker, or
-  reused for a second run;
+  reused for a second run — with or without a budget, a reporter, or
+  the compiled driver;
 * whether a resilience sweep runs serially or over a process pool.
 """
 
@@ -24,7 +25,9 @@ from repro.mc import (
     check_safety_por,
     count_states,
     find_state,
+    sweep_safety,
 )
+from repro.obs import EVENT_PROGRESS, CollectingReporter
 from repro.systems.abp import abp_delivery_prop, abp_fault_scenarios, build_abp
 from repro.systems.bridge import (
     BridgeConfig,
@@ -131,6 +134,69 @@ def test_safety_and_counting_match_fresh_runs(build, invariants,
     assert warm_count.states_stored == fresh_count.states_stored
     assert warm_count.transitions == fresh_count.transitions
     assert warm_count.states_expanded == fresh_count.states_expanded
+
+
+@pytest.fixture(scope="module")
+def explored():
+    """Fully explored graphs, one per case, shared by the budgets (the
+    budgeted walks only read them)."""
+    graphs = {}
+
+    def get(build):
+        if build not in graphs:
+            graphs[build] = StateGraph(build())
+            graphs[build].explore()
+        return graphs[build]
+
+    yield get
+    graphs.clear()
+
+
+def _progress(events):
+    return [(e.data["states_stored"], e.data["states_expanded"],
+             e.data["transitions"], e.data["frontier"])
+            for e in events if e.type == EVENT_PROGRESS]
+
+
+@pytest.mark.parametrize("budget", [1, 25, 777, 5000])
+@pytest.mark.parametrize("build,invariants,check_deadlock", CASES)
+def test_budgeted_cold_walk_matches_warm_walk(build, invariants,
+                                              check_deadlock, budget,
+                                              explored):
+    """A budgeted, instrumented walk is dense on a cold graph; its partial
+    result and progress stream must match the general walk's on a warm
+    graph."""
+    def walk(graph):
+        rep = CollectingReporter(interval=7)
+        report = sweep_safety(graph, invariants=invariants(),
+                              check_deadlock=check_deadlock,
+                              max_states=budget, reporter=rep)
+        return report, _progress(rep.events)
+
+    cold, cold_progress = walk(StateGraph(build()))
+    warm, warm_progress = walk(explored(build))
+    assert cold.incomplete == warm.incomplete
+    assert cold.budget_exhausted == warm.budget_exhausted
+    assert [r.kind for r in cold.results] == [r.kind for r in warm.results]
+    assert cold.stats.states_stored == warm.stats.states_stored
+    assert cold.stats.states_expanded == warm.stats.states_expanded
+    assert cold.stats.transitions == warm.stats.transitions
+    assert cold_progress == warm_progress
+
+
+@pytest.mark.parametrize("build,invariants,check_deadlock", CASES)
+def test_tree_walk_cold_graph_matches_warm_graph(build, invariants,
+                                                 check_deadlock):
+    """Without a compiled driver the cold walk is still dense."""
+    graph = StateGraph(build(), jit=False)
+    cold = check_safety(graph, invariants=invariants(),
+                        check_deadlock=check_deadlock)
+    warm = check_safety(graph, invariants=invariants(),
+                        check_deadlock=check_deadlock)
+    compiled = check_safety(build(), invariants=invariants(),
+                            check_deadlock=check_deadlock)
+    _assert_same_result(cold, warm)
+    _assert_same_result(cold, compiled)
 
 
 #: (system factory, goal prop factory, reachable?) for witness searches.

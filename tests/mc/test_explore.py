@@ -28,6 +28,11 @@ from repro.psl import (
     System,
     V,
 )
+from repro.systems.bridge import (
+    bridge_safety_prop,
+    build_exactly_n_bridge,
+    fix_exactly_n_bridge,
+)
 
 
 def counter_system(limit, with_assert=None, end_label=True):
@@ -274,6 +279,43 @@ class TestFindState:
         trace = find_state(counter_system(5), p)
         # guard then increment: two steps
         assert len(trace) == 2
+
+
+class TestPrewarm:
+    """``StateGraph.explore`` pre-warms a graph with the checkers' walk."""
+
+    @staticmethod
+    def _bridge_system():
+        return fix_exactly_n_bridge(build_exactly_n_bridge()).to_system(
+            fused=True)
+
+    def test_checkers_on_prewarmed_graph_match(self):
+        system = self._bridge_system()
+        fresh = check_safety(StateGraph(system),
+                             invariants=[bridge_safety_prop()])
+        warmed = StateGraph(system)
+        warmed.explore()
+        warm = check_safety(warmed, invariants=[bridge_safety_prop()])
+        assert warm.ok == fresh.ok
+        assert warm.stats.states_stored == fresh.stats.states_stored
+        assert warm.stats.transitions == fresh.stats.transitions
+        assert warm.stats.states_expanded == fresh.stats.states_expanded
+
+    def test_state_budget_leaves_graph_lazily_completable(self):
+        graph = StateGraph(self._bridge_system())
+        assert graph.explore(max_states=500) >= 500
+        assert graph.n_states_expanded < len(graph.store)
+        full = StateGraph(self._bridge_system())
+        full.explore()
+        assert graph.explore() == len(full.store)
+
+    def test_prewarm_interns_in_cold_check_order(self):
+        system = self._bridge_system()
+        warmed = StateGraph(system)
+        warmed.explore()
+        checked = StateGraph(system)
+        assert check_safety(checked).ok
+        assert warmed.store._states == checked.store._states
 
 
 class TestResultFormatting:

@@ -1,6 +1,9 @@
 """The HTTP layer: routes, streaming, error mapping, drain."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +113,41 @@ class TestDrain:
         done = service.client.job(view["job_id"])
         assert done["status"] == "done"
         assert done["verdict"] == "PASS"
+
+
+#: Runs ``repro serve`` with a stdout that SIGTERMs the daemon the moment
+#: the ready line is written: a supervisor that reacts with zero latency.
+_SIGNAL_ON_READY = """
+import os, signal, sys
+from repro.cli import main
+
+class SignalOnReady:
+    def __init__(self, out):
+        self.out = out
+
+    def write(self, text):
+        written = self.out.write(text)
+        if "listening on" in text:
+            self.out.flush()
+            os.kill(os.getpid(), signal.SIGTERM)
+        return written
+
+    def flush(self):
+        self.out.flush()
+
+sys.stdout = SignalOnReady(sys.stdout)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestSignals:
+    def test_sigterm_on_reading_the_ready_line_drains(self, tmp_path):
+        src = Path(__file__).parents[2] / "src"
+        daemon = subprocess.run(
+            [sys.executable, "-c", _SIGNAL_ON_READY, "serve", "--port", "0",
+             "--cache-dir", str(tmp_path / "cache"), "--inline"],
+            env={"PYTHONPATH": str(src)}, timeout=60,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        assert daemon.returncode == 0, daemon.stdout
+        assert "listening on" in daemon.stdout
+        assert "drained cleanly" in daemon.stdout
