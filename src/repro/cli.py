@@ -376,24 +376,6 @@ def _cmd_resilience(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _pc_space(messages: int):
-    """The producer/consumer port x channel design space (``explore pc``)."""
-    from repro.core.channels import CHANNEL_SPECS
-    from repro.core.ports import SEND_PORT_SPECS
-    from repro.design import ChannelAxis, DesignSpace, SendPortAxis
-    from repro.systems.producer_consumer import simple_pair
-
-    return DesignSpace(
-        "producer_consumer",
-        simple_pair(SEND_PORT_SPECS[0], CHANNEL_SPECS[0], messages=messages),
-        axes=[
-            ChannelAxis("link", CHANNEL_SPECS),
-            SendPortAxis("link", SEND_PORT_SPECS, component="Producer0"),
-        ],
-        fused=True,
-    )
-
-
 def _cmd_explore(args: argparse.Namespace) -> int:
     import os
 
@@ -420,7 +402,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             "faults": bridge_fault_scenarios(),
         }
     else:
-        space = _pc_space(args.messages)
+        from repro.systems.producer_consumer import pc_design_space
+        space = pc_design_space(args.messages)
         kwargs = {}
 
     cache = None

@@ -23,9 +23,17 @@ open until the job is terminal (pass ``?follow=0`` for a snapshot).
 Served with ``Connection: close``, so plain ``curl`` consumes it.
 
 Error mapping: a malformed spec is 400, an unknown job 404, a
-submission during drain 503, anything unexpected 500.  Every JSON
+submission during drain 503, anything unexpected 500.  A
+``Content-Length`` that is not a non-negative integer is 400 and one
+over :data:`MAX_BODY_BYTES` is 413, both answered before any of the
+body is read, on a connection the daemon then closes.  Every JSON
 response carries ``repro_version`` (the service-response half of the
 version single-sourcing satellite).
+
+Responses go out with ``TCP_NODELAY``: the handler writes headers and
+body in two sends, and with Nagle's algorithm on, the body of a
+response on a kept-alive connection would wait for the client's
+delayed ACK of the headers (about 40 ms on Linux).
 
 The server itself is a ``ThreadingHTTPServer`` driven by
 :func:`serve_until` — a ``handle_request()`` polling loop rather than
@@ -55,6 +63,17 @@ __all__ = ["VerificationServer", "serve_until"]
 #: to stay off the profile.
 _POLL_SECONDS = 0.05
 
+#: Largest request body the daemon reads; a job spec is under 1 KB.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyError(Exception):
+    """A request body the daemon refuses before reading it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 class VerificationServer(ThreadingHTTPServer):
     """One listening socket over one :class:`JobManager`."""
@@ -70,6 +89,7 @@ class VerificationServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: VerificationServer
 
     # -- plumbing ---------------------------------------------------------
@@ -77,18 +97,30 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         pass  # the daemon narrates through events, not the access log
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+    def _send_json(self, status: int, payload: Dict[str, Any], *,
+                   close: bool = False) -> None:
         payload = dict(payload)
         payload.setdefault("repro_version", __version__)
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise _BodyError(400, f"bad Content-Length {declared!r}")
+        try:
+            length = int(declared)
+        except ValueError:  # too many digits for int(): far over the cap
+            length = MAX_BODY_BYTES + 1
+        if length > MAX_BODY_BYTES:
+            raise _BodyError(413, f"request body exceeds the "
+                             f"{MAX_BODY_BYTES}-byte limit")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -110,6 +142,9 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         try:
             self._route_post()
+        except _BodyError as exc:
+            # The unread body is still on the wire: end the connection.
+            self._safe_error(exc.status, str(exc), close=True)
         except JobSpecError as exc:
             self._safe_error(400, str(exc))
         except DrainingError as exc:
@@ -119,9 +154,10 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._safe_error(500, f"internal error: {exc!r}")
 
-    def _safe_error(self, status: int, message: str) -> None:
+    def _safe_error(self, status: int, message: str, *,
+                    close: bool = False) -> None:
         try:
-            self._send_json(status, {"error": message})
+            self._send_json(status, {"error": message}, close=close)
         except Exception:  # pragma: no cover - client already gone
             pass
 

@@ -254,8 +254,8 @@ def _explore_pieces(spec: Dict[str, Any]):
         command = (f"repro explore bridge --cars {options['cars']} "
                    f"--n {options['n']} --trips {options['trips']}")
     else:
-        from ..cli import _pc_space
-        space = _pc_space(options["messages"])
+        from ..systems.producer_consumer import pc_design_space
+        space = pc_design_space(options["messages"])
         kwargs = {}
         command = f"repro explore pc --messages {options['messages']}"
     if options["first_pass"]:

@@ -10,6 +10,13 @@ tests without sockets.  It owns:
   immediately (*warm hit*).  sqlite connections are bound to their
   creating thread, so the manager keeps one handle per thread
   (``threading.local``) over the same WAL directory;
+* **the spec memo** — a bounded LRU map from each canonical spec it has
+  seen to the ``(kind, spec, fingerprint, command)`` that
+  :func:`~repro.serve.jobs.build_job` returned for it, so a repeat is
+  validated but not elaborated or fingerprinted again.  A fingerprint
+  is a pure function of the canonical spec and the code the daemon
+  runs, so the memo never goes stale.  Lookup and a miss's build run
+  under one lock: identical new specs arriving together elaborate once;
 * **cross-request coalescing** — one ``fingerprint -> primary job``
   map.  A submission identical to an in-flight job *attaches* to it
   instead of spawning a duplicate computation; when the primary
@@ -19,7 +26,13 @@ tests without sockets.  It owns:
   :class:`~repro.design.supervise.SupervisedPool`, so a segfaulting or
   hung checker is classified and retried per
   :class:`~repro.design.supervise.RetryPolicy` instead of taking the
-  daemon down.  Inline mode (``supervised=False``) runs jobs on the
+  daemon down.  Sandboxes fork from a ``forkserver`` — a
+  single-threaded process started with the first computed job, with
+  the job modules preloaded — never from the threaded daemon, whose
+  other threads may hold a lock (SQLite's mutex inside
+  ``sqlite3.connect``, say) that a forked child would inherit locked
+  and wait on forever.  They see the daemon's environment as of that
+  first job.  Inline mode (``supervised=False``) runs jobs on the
   worker thread itself — faster to start, used by tests;
 * **the journal** — every job persists ``job.json`` atomically on each
   state change under ``<state_dir>/jobs/<id>/``, next to its
@@ -37,20 +50,22 @@ crash attribution end-to-end over HTTP.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import queue
 import threading
 import time
 import uuid
-from typing import Any, Dict, List, Optional
+from collections import OrderedDict
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from ..design import failpoints
 from ..design.backend import detect_backend, open_cache
 from ..design.supervise import CAUSE_EXCEPTION, RetryPolicy, SupervisedPool
 from ..obs import events as obs_events
 from ..obs.reporters import DEFAULT_INTERVAL, JsonlReporter
-from .jobs import build_job, run_job
+from .jobs import build_job, canonical_spec, run_job
 
 __all__ = [
     "JobManager",
@@ -72,6 +87,23 @@ TERMINAL_STATUSES = frozenset({STATUS_DONE, STATUS_FAILED})
 #: Keys the cache backend stamps onto stored records; stripped before a
 #: cached record is served so warm and computed responses are identical.
 _CACHE_STAMPS = ("schema", "fingerprint", "crc")
+
+#: Canonical specs whose build the manager remembers (least recently
+#: used first out); about a kilobyte each.
+SPEC_MEMO_SIZE = 1024
+
+#: Imported once in the forkserver, so a sandbox starts with the job
+#: code loaded: ``repro.serve`` and the systems ``jobs`` imports lazily.
+#: Not ``repro.cli``: every child re-runs the daemon's ``__main__``
+#: (``python -m repro.cli``), and runpy warns when that module is
+#: already imported.
+_SANDBOX_PRELOAD = [
+    "repro.serve.jobs",
+    "repro.systems.abp",
+    "repro.systems.bridge",
+    "repro.systems.gas_station",
+    "repro.systems.producer_consumer",
+]
 
 
 class ServeError(RuntimeError):
@@ -97,6 +129,24 @@ def _serve_job_task(payload: bytes) -> Dict[str, Any]:
         return run_job(spec, reporter=reporter, cache_dir=cache_dir)
     finally:
         reporter.close()
+
+
+def _sandbox_context():
+    """The multiprocessing context sandboxes start from."""
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return None  # non-POSIX host: the platform default
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(_SANDBOX_PRELOAD)
+    return context
+
+
+class _Built(NamedTuple):
+    """What a job needs of :func:`build_job` (memoized per spec)."""
+
+    kind: str
+    spec: Dict[str, Any]
+    fingerprint: str
+    command: str
 
 
 class _Job:
@@ -160,6 +210,9 @@ class JobManager:
         self.interval = interval
 
         self._lock = threading.Lock()
+        self._build_lock = threading.Lock()
+        self._memo: "OrderedDict[str, _Built]" = OrderedDict()
+        self._context = _sandbox_context() if supervised else None
         self._tls = threading.local()
         self._jobs: Dict[str, _Job] = {}
         self._inflight: Dict[str, str] = {}  # fingerprint -> primary job id
@@ -191,6 +244,29 @@ class JobManager:
             self._tls.cache = cache
         return cache
 
+    # -- the spec memo ----------------------------------------------------
+
+    def _build(self, spec: Any) -> _Built:
+        """What a job needs of ``build_job(spec)``, built once per spec.
+
+        Validation runs every time (a bad spec raises
+        :class:`~repro.serve.jobs.JobSpecError` on each submission); only
+        a canonical spec not in the memo is elaborated and fingerprinted.
+        """
+        key = json.dumps(canonical_spec(spec), sort_keys=True)
+        with self._build_lock:
+            built = self._memo.get(key)
+            if built is None:
+                job = build_job(spec)
+                built = _Built(job.kind, job.spec, job.fingerprint,
+                               job.command)
+                self._memo[key] = built
+                if len(self._memo) > SPEC_MEMO_SIZE:
+                    self._memo.popitem(last=False)
+            else:
+                self._memo.move_to_end(key)
+            return built
+
     # -- submission (HTTP handler threads) --------------------------------
 
     def submit(self, spec: Any) -> Dict[str, Any]:
@@ -204,7 +280,7 @@ class JobManager:
         if self._draining:
             raise DrainingError("the service is draining; "
                                 "no new submissions accepted")
-        built = build_job(spec)
+        built = self._build(spec)
         now = time.time()
         record = self._cache().get(built.fingerprint)
         with self._lock:
@@ -404,7 +480,7 @@ class JobManager:
             payload = pickle.dumps((job.spec, events_path, self._cache_dir,
                                     self.interval))
             pool = SupervisedPool(1, timeout=self.job_timeout,
-                                  retry=self.retry)
+                                  retry=self.retry, context=self._context)
             outcomes = pool.run(_serve_job_task, [payload], keys=[job.id])
             outcome = outcomes[0] if outcomes else None
             if outcome is not None and outcome.ok:
@@ -531,7 +607,9 @@ class JobManager:
         path = os.path.join(self._job_dir(job.id), "job.json")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh, sort_keys=True, separators=(",", ":"))
+            # One json.dumps call runs the C encoder; json.dump streams
+            # through the pure-Python one, ~3x slower on a full report.
+            fh.write(json.dumps(state, sort_keys=True, separators=(",", ":")))
         os.replace(tmp, path)
 
     def _append_event(self, job: _Job, event) -> None:
@@ -602,7 +680,7 @@ class JobManager:
                  state: Dict[str, Any]) -> None:
         """Resubmit one journaled job under its original id."""
         try:
-            built = build_job(spec)
+            built = self._build(spec)
         except Exception:
             return
         record = self._cache().get(built.fingerprint)

@@ -23,11 +23,13 @@ from typing import Optional, Sequence
 from ..core import (
     Architecture,
     BlockingReceive,
+    CHANNEL_SPECS,
     ChannelSpec,
     Component,
     RECEIVE,
     ReceivePortSpec,
     SEND,
+    SEND_PORT_SPECS,
     SendPortSpec,
     SingleSlotBuffer,
     SynBlockingSend,
@@ -169,4 +171,24 @@ def simple_pair(
             port=recv_port,
             max_attempts=max_attempts,
         )],
+    )
+
+
+def pc_design_space(messages: int = 2):
+    """The producer/consumer port x channel design space (``explore pc``).
+
+    One producer sending ``messages`` messages to one consumer, with the
+    connector's channel block and the producer's send port as the two
+    axes, checked against the fused connector models.
+    """
+    from ..design import ChannelAxis, DesignSpace, SendPortAxis
+
+    return DesignSpace(
+        "producer_consumer",
+        simple_pair(SEND_PORT_SPECS[0], CHANNEL_SPECS[0], messages=messages),
+        axes=[
+            ChannelAxis("link", CHANNEL_SPECS),
+            SendPortAxis("link", SEND_PORT_SPECS, component="Producer0"),
+        ],
+        fused=True,
     )

@@ -1,8 +1,12 @@
 """The HTTP layer: routes, streaming, error mapping, drain."""
 
 import json
+import socket
+import statistics
 import subprocess
 import sys
+import time
+from http.client import HTTPConnection
 from pathlib import Path
 
 import pytest
@@ -82,7 +86,6 @@ class TestErrorMapping:
         service.client.wait(view["job_id"], timeout=60)
 
     def test_non_json_body_is_400(self, service):
-        from http.client import HTTPConnection
         conn = HTTPConnection(service.client.host, service.client.port,
                               timeout=10)
         try:
@@ -94,6 +97,54 @@ class TestErrorMapping:
             assert "error" in payload
         finally:
             conn.close()
+
+
+    @pytest.mark.parametrize("declared, status", [
+        ("-1", 400), ("abc", 400), ("99999999999999", 413)])
+    def test_bad_content_length_is_refused_before_the_body(
+            self, service, declared, status):
+        # No body follows the headers: a handler that tried to read one
+        # would wait for the client, and the socket timeout would fire.
+        head = ("POST /v1/jobs HTTP/1.1\r\n"
+                "Host: localhost\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {declared}\r\n\r\n")
+        with socket.create_connection(
+                (service.client.host, service.client.port),
+                timeout=5) as sock:
+            sock.sendall(head.encode("ascii"))
+            with sock.makefile("rb") as response:
+                status_line = response.readline()
+                rest = response.read()  # the daemon closes the connection
+        assert status_line.split()[1] == str(status).encode("ascii")
+        assert b"Connection: close" in rest
+        assert b'"error"' in rest
+
+
+class TestKeepAlive:
+    def test_cached_hits_on_one_connection_take_one_round_trip(
+            self, service):
+        spec = {"kind": "verify", "system": "abp"}
+        assert service.client.submit(spec, wait=True,
+                                     timeout=60)["status"] == "done"
+        body = json.dumps(spec).encode("utf-8")
+        conn = HTTPConnection(service.client.host, service.client.port,
+                              timeout=10)
+        seconds = []
+        try:
+            for _ in range(15):
+                t0 = time.monotonic()
+                conn.request("POST", "/v1/jobs", body=body,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                view = json.loads(response.read().decode("utf-8"))["job"]
+                seconds.append(time.monotonic() - t0)
+                assert view["cached"] is True
+        finally:
+            conn.close()
+        # A response body that waits for the client's delayed ACK of its
+        # headers costs at least 40 ms (Linux's minimum ACK delay).
+        assert statistics.median(seconds) < 0.020, seconds
 
 
 class TestDrain:
