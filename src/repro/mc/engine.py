@@ -92,7 +92,8 @@ class TransitionCache:
     shared :class:`StateStore`.
     """
 
-    __slots__ = ("interp", "store", "_succ", "_drive", "misses")
+    __slots__ = ("interp", "store", "_succ", "_drive", "_namespaces",
+                 "misses")
 
     def __init__(self, interp: Interpreter, store: StateStore) -> None:
         self.interp = interp
@@ -103,8 +104,19 @@ class TransitionCache:
         # A compiled interpreter provides a fused driver that interns
         # targets and emits CachedTransition directly, skipping the
         # wrap-and-intern second pass below.
+        self._drive = None
+        self._namespaces: List[dict] = []
         bind_engine = getattr(interp, "bind_engine", None)
-        self._drive = None if bind_engine is None else bind_engine(store)
+        if bind_engine is not None:
+            self._drive, self._namespaces = bind_engine(store)
+
+    def __del__(self) -> None:
+        # The driver's namespaces hold the store and are the globals of
+        # the functions they hold: a cycle only a full collection finds.
+        # Breaking it frees a dropped graph's states by reference
+        # counting.
+        for ns in self._namespaces:
+            ns.clear()
 
     def transitions(self, sid: int) -> Tuple[CachedTransition, ...]:
         cached = self._succ.get(sid)

@@ -325,6 +325,7 @@ def check_ltl(
     stats = product.stats
     stats.states_stored = len(val_cache)
     stats.elapsed_seconds = time.perf_counter() - start
+    stats.apply_compile_stats(graph.compile_stats)
 
     fairness_note = " (under weak fairness)" if weak_fairness else ""
     if exhausted is not None:

@@ -193,6 +193,8 @@ def check_safety_por(
 
     def finish(result: VerificationResult) -> VerificationResult:
         stats.elapsed_seconds = time.perf_counter() - start
+        # Read at the end: ample sets compile the plain programs mid-run.
+        stats.apply_compile_stats(graph.compile_stats)
         result.stats = stats
         if obs is not None:
             if not result.ok:

@@ -21,12 +21,24 @@ This module removes that per-step dispatch entirely:
   bind time; message-carrying labels are memoized per edge keyed by the
   message tuple.
 * The generated source is ``compile()``d once per *program key* and the
-  resulting code object is cached process-wide.  The key starts from
-  the :mod:`repro.psl.canon` digest of the definition — the same
+  resulting code object is cached process-wide.  The key is the
+  :mod:`repro.psl.canon` digest of the definition — the same
   content-addressed identity the design-space verdict cache uses — plus
-  the binding layout (pid, local slot order, global slot indices,
-  channel indices/capacities), so design variants that share processes
-  reuse each other's compiled programs.
+  everything the code bakes in: the pid, the local slot order, the
+  global slot indices, the channel indices/capacities, the system's
+  shape and the mode.  So the same definition at the same pid and
+  numbering in a system of the same shape reuses its program (the same
+  design checked again, a fault scenario of it); a differently shaped
+  variant compiles its own.
+* A program is lowered in one of two modes.  *Engine-mode* programs,
+  the only ones a :class:`~repro.mc.engine.StateGraph` walk runs,
+  intern successors straight into the graph's store; they are compiled
+  when the :class:`CompiledInterpreter` is built.  *Plain-mode*
+  programs, behind the :class:`~repro.psl.interp.Transition` API, are
+  compiled on the first call that needs them.  A definition the
+  lowering (or :mod:`repro.psl.canon`) cannot handle raises
+  :class:`JitUnsupported` at construction, and :func:`make_interpreter`
+  falls back to the tree-walk interpreter.
 
 Semantics are pinned to the tree-walk interpreter by the differential
 suite in ``tests/psl/test_compiled_equivalence.py``: identical
@@ -41,7 +53,7 @@ import os
 import re
 import threading
 import time
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .compiler import (
     OpAssert,
@@ -53,7 +65,7 @@ from .compiler import (
     OpSend,
     OpSkip,
 )
-from .errors import EvalError, ExecutionError
+from .errors import CompileError, EvalError, ExecutionError
 from .expr import BinOp, Const, Expr, Not, Var, _int_div, _int_mod
 from .interp import Interpreter, Transition, TransitionLabel, _arith
 from .state import State
@@ -107,10 +119,9 @@ def _plain_transition(label, target, violation=None,
 
     Generated code hands the target over as a plain 4-tuple of state
     components; this factory rebuilds the :class:`State` NamedTuple for
-    the public API.  The engine-mode binding
-    (:meth:`CompiledInterpreter.bind_engine`) replaces ``T`` with a
-    factory that interns the raw tuple instead — on an intern hit (the
-    common case in a dense graph) no State object is built at all.
+    the public API.  Engine-mode programs intern the raw tuple inline
+    instead (see :func:`_emit_T`) — on an intern hit (the common case in
+    a dense graph) no State object is built at all.
     """
     return _tr(label, _mk(target), violation)
 
@@ -360,6 +371,12 @@ def clear_program_cache() -> None:
 
 def _program_key(pid: int, inst: ProcessInstance, system: System) -> tuple:
     defn = inst.definition
+    try:
+        digest = _digest_of(defn)
+    except CompileError as exc:
+        # canon knows the same node types the lowering does: a definition
+        # it cannot canonicalize is one the tree-walk interpreter runs.
+        raise JitUnsupported(str(exc)) from exc
     names = inst.automaton.bound_names()
     globals_sig = tuple(sorted(
         (n, system.global_index[n])
@@ -379,8 +396,7 @@ def _program_key(pid: int, inst: ProcessInstance, system: System) -> tuple:
     # with the same shape.
     shape = (len(system.instances), len(system.channels),
              len(system.global_index))
-    return (_digest_of(defn), pid, defn.local_names, globals_sig, chans_sig,
-            shape)
+    return (digest, pid, defn.local_names, globals_sig, chans_sig, shape)
 
 
 def _emit_T(body: "_SourceWriter", ind: int, label: str, target: str,
@@ -970,16 +986,24 @@ def _make_driver(tables: List[tuple]):
 class CompiledInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` running compiled process programs.
 
-    Construction lowers (or fetches from the process-wide program
-    cache) one program per instance, binds labels and channel layouts,
-    and links rendezvous candidate tables across instances.  The
-    tree-walk machinery is still built by the base class, so partial
-    order reduction, ``blocked_processes``, and every other consumer of
-    interpreter internals keeps working unchanged.
+    A program is lowered in one of two modes.  *Engine-mode* programs
+    intern successors straight into a :class:`~repro.mc.engine.StateGraph`'s
+    store; they are the only code a graph walk runs, so construction
+    lowers (or fetches from the process-wide program cache) one per
+    instance, and :class:`JitUnsupported` surfaces here, where
+    :func:`make_interpreter` falls back to the tree-walk interpreter.
+    :meth:`bind_engine` then only binds them to a store.  *Plain-mode*
+    programs emit :class:`~repro.psl.interp.Transition` objects for
+    :meth:`transitions` and the per-process API that partial order
+    reduction uses; they are lowered, bound and linked on the first call
+    that needs them, once per interpreter.  The tree-walk machinery is
+    still built by the base class, so ``blocked_processes`` and every
+    other consumer of interpreter internals keeps working unchanged.
 
     ``compile_stats`` records this interpreter's share of compilation
-    work: ``programs_compiled`` (cache misses), ``digest_hits`` (cache
-    hits), and ``compile_seconds`` (codegen + bind + link time).
+    work in both modes: ``programs_compiled`` (cache misses),
+    ``digest_hits`` (cache hits), and ``compile_seconds`` (codegen +
+    bind + link time).
     """
 
     def __init__(self, system: System) -> None:
@@ -987,23 +1011,22 @@ class CompiledInterpreter(Interpreter):
         super().__init__(system)
         self.compile_stats = {"programs_compiled": 0, "digest_hits": 0,
                               "compile_seconds": 0.0}
-        self._namespaces: List[dict] = []
-        self._programs: List[_Program] = []
-        self._steps: List[tuple] = []
-        for pid, inst in enumerate(system.instances):
-            program = self._obtain_program(pid, inst, system)
-            self._programs.append(program)
-            ns = self._bind(program, pid, inst, system)
-            self._namespaces.append(ns)
-            self._steps.append(ns["_STEPS"])
-        self._link(system)
-        self._drive = _make_driver(self._steps)
-        elapsed = time.perf_counter() - t0
-        self.compile_stats["compile_seconds"] = elapsed
-        with _CACHE_LOCK:
-            _CACHE_STATS["compile_seconds"] += elapsed
+        self._engine_programs = [
+            self._obtain_program(pid, inst, system, engine=True)
+            for pid, inst in enumerate(system.instances)
+        ]
+        # Plain mode, built by _compile_plain on first use.
+        self._plain_programs: Optional[List[_Program]] = None
+        self._steps: Optional[List[tuple]] = None
+        self._drive = None
+        self._add_compile_time(time.perf_counter() - t0)
 
     # -- construction -------------------------------------------------------
+
+    def _add_compile_time(self, elapsed: float) -> None:
+        self.compile_stats["compile_seconds"] += elapsed
+        with _CACHE_LOCK:
+            _CACHE_STATS["compile_seconds"] += elapsed
 
     def _obtain_program(self, pid: int, inst: ProcessInstance,
                         system: System, engine: bool = False) -> _Program:
@@ -1062,30 +1085,30 @@ class CompiledInterpreter(Interpreter):
         exec(program.code, ns)
         return ns
 
-    def _link(self, system: System,
-              namespaces: Optional[List[dict]] = None) -> None:
-        """Fill rendezvous candidate tables across bound programs."""
-        if namespaces is None:
-            namespaces = self._namespaces
+    def _link(self, system: System, namespaces: List[dict]) -> None:
+        """Fill rendezvous candidate tables across bound programs.
+
+        Both modes lower an instance to the same rendezvous metadata, so
+        the engine-mode programs describe the plain ones too.
+        """
+        programs = self._engine_programs
         n = self.n_procs
         # Receiver handlers per (channel index): (rpid, loc, eid).
         recvs_by_chan: Dict[int, List[Tuple[int, int, int]]] = {}
         sends_by_chan: Dict[int, List[Tuple[int, int, int]]] = {}
         for pid in range(n):
             inst = system.instances[pid]
-            for eid, chan_param, loc in self._programs[pid].rv_recvs:
+            for eid, chan_param, loc in programs[pid].rv_recvs:
                 cidx = inst.channel_for(chan_param).index
                 recvs_by_chan.setdefault(cidx, []).append((pid, loc, eid))
-            for eid, chan_param, loc, _dst, _desc in \
-                    self._programs[pid].rv_sends:
+            for eid, chan_param, loc, _dst, _desc in programs[pid].rv_sends:
                 cidx = inst.channel_for(chan_param).index
                 sends_by_chan.setdefault(cidx, []).append((pid, loc, eid))
 
         for spid in range(n):
             inst = system.instances[spid]
             sns = namespaces[spid]
-            for eid, chan_param, _loc, _dst, desc in \
-                    self._programs[spid].rv_sends:
+            for eid, chan_param, _loc, _dst, desc in programs[spid].rv_sends:
                 chan = inst.channel_for(chan_param)
                 candidates = []
                 for rpid, rloc, reid in recvs_by_chan.get(chan.index, ()):
@@ -1106,7 +1129,7 @@ class CompiledInterpreter(Interpreter):
         for rpid in range(n):
             inst = system.instances[rpid]
             rns = namespaces[rpid]
-            for eid, chan_param in self._programs[rpid].rdy_fns:
+            for eid, chan_param in programs[rpid].rdy_fns:
                 chan = inst.channel_for(chan_param)
                 probes = []
                 for spid, sloc, seid in sends_by_chan.get(chan.index, ()):
@@ -1118,19 +1141,48 @@ class CompiledInterpreter(Interpreter):
                 probes.sort(key=lambda c: c[0])
                 rns[f"RDY_{eid}"] = tuple(probes)
 
+    def _bind_all(self, programs: List[_Program],
+                  extra: Optional[dict] = None
+                  ) -> Tuple[List[dict], Callable]:
+        """Bind one program per instance, link them, and build a driver."""
+        system = self.system
+        namespaces = [self._bind(program, pid, inst, system, extra)
+                      for pid, (program, inst)
+                      in enumerate(zip(programs, system.instances))]
+        self._link(system, namespaces)
+        return namespaces, _make_driver([ns["_STEPS"] for ns in namespaces])
+
+    def _compile_plain(self) -> Callable:
+        """Lower, bind and link the plain-mode programs (first use only)."""
+        t0 = time.perf_counter()
+        system = self.system
+        programs = [self._obtain_program(pid, inst, system)
+                    for pid, inst in enumerate(system.instances)]
+        namespaces, drive = self._bind_all(programs)
+        self._plain_programs = programs
+        self._steps = [ns["_STEPS"] for ns in namespaces]
+        self._drive = drive
+        self._add_compile_time(time.perf_counter() - t0)
+        return drive
+
     # -- hot path -----------------------------------------------------------
 
     def transitions(self, state: State) -> List[Transition]:
-        return self._drive(state)
+        drive = self._drive
+        if drive is None:
+            drive = self._compile_plain()
+        return drive(state)
 
     def _append_process_transitions(self, state: State, pid: int,
                                     out: List[Transition]) -> None:
+        if self._steps is None:
+            self._compile_plain()
         self._steps[pid][state.locs[pid]](state, out)
 
-    def bind_engine(self, store) -> "callable":
-        """Bind an engine-mode driver emitting interned cached transitions.
+    def bind_engine(self, store) -> Tuple[Callable, List[dict]]:
+        """Bind the engine-mode programs to *store*.
 
-        Returns ``drive(state) -> list`` of
+        Returns ``(drive, namespaces)``.  ``drive(state) -> list`` of
         :class:`~repro.mc.engine.CachedTransition` with targets already
         interned into *store*.  The driver runs *engine-mode* programs:
         the same lowering as :meth:`transitions`, but with the
@@ -1140,15 +1192,18 @@ class CompiledInterpreter(Interpreter):
         — and on an intern hit no :class:`State` object is allocated at
         all (raw tuples hash and compare equal to the NamedTuple, so
         they share the store's id map; only first-seen states are
-        materialized).  The interpreter's own tables are untouched:
-        each :class:`~repro.mc.engine.StateGraph` gets its own driver
-        bound to its own store, and the plain-:class:`Transition` API
-        keeps working for POR, simulation, and differential tests.
+        materialized).  Each :class:`~repro.mc.engine.StateGraph` gets
+        its own driver bound to its own store.
+
+        ``namespaces`` are the dicts this binding made, the driver's
+        included.  They hold *store*, and each holds the functions it
+        defines, whose globals it is; the owner clears them when it is
+        done with the driver, so the store is freed by reference
+        counting rather than by a full collection.
         """
         from ..mc.engine import CachedTransition
 
         t0 = time.perf_counter()
-        system = self.system
         extra = {
             "_I": store._ids,
             "_S": store._states,
@@ -1157,26 +1212,18 @@ class CompiledInterpreter(Interpreter):
             "_NT": tuple.__new__,
             "_CT": CachedTransition,
         }
-        namespaces: List[dict] = []
-        tables: List[tuple] = []
-        for pid, inst in enumerate(system.instances):
-            program = self._obtain_program(pid, inst, system, engine=True)
-            ns = self._bind(program, pid, inst, system, extra=extra)
-            namespaces.append(ns)
-            tables.append(ns["_STEPS"])
-        self._link(system, namespaces)
-        drive = _make_driver(tables)
-        elapsed = time.perf_counter() - t0
-        self.compile_stats["compile_seconds"] += elapsed
-        with _CACHE_LOCK:
-            _CACHE_STATS["compile_seconds"] += elapsed
-        return drive
+        namespaces, drive = self._bind_all(self._engine_programs, extra)
+        namespaces.append(drive.__globals__)
+        self._add_compile_time(time.perf_counter() - t0)
+        return drive, namespaces
 
     # -- introspection ------------------------------------------------------
 
     def program_source(self, pid: int) -> str:
-        """Generated source of one instance's program (debugging aid)."""
-        return self._programs[pid].source
+        """Generated plain-mode source of one instance's program."""
+        if self._plain_programs is None:
+            self._compile_plain()
+        return self._plain_programs[pid].source
 
 
 def make_interpreter(target: Union[System, Interpreter],

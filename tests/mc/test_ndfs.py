@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mc import check_ltl, global_prop
+from repro.mc import StateGraph, check_ltl, global_prop
 from repro.mc.result import VIOLATION_ACCEPTANCE_CYCLE
 from repro.psl import Assign, Branch, Do, Guard, ProcessDef, System, V
 
@@ -175,3 +175,14 @@ class TestBudgets:
         r = check_ltl(toggler(), "G F x1", PROPS, weak_fairness=True,
                       max_states=1)
         assert r.incomplete
+
+
+class TestCompileStats:
+    def test_ltl_run_reports_compile_cost(self):
+        graph = StateGraph(toggler(), jit=True)
+        result = check_ltl(graph, "G F x1", PROPS)
+        assert result.ok
+        stats = result.stats
+        assert stats.programs_compiled + stats.compile_cache_hits == 1
+        assert stats.compile_seconds == graph.compile_stats["compile_seconds"]
+        assert stats.compile_seconds > 0.0

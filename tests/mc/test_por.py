@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.mc import check_safety, check_safety_por, count_states, global_prop
+from repro.mc import (
+    StateGraph,
+    check_safety,
+    check_safety_por,
+    count_states,
+    global_prop,
+)
 from repro.psl import (
     Assert,
     Assign,
@@ -174,3 +180,19 @@ class TestBudgets:
                              max_states=10**6)
         assert not r.ok
         assert not r.incomplete
+
+
+class TestCompileStats:
+    def test_por_run_reports_engine_and_plain_programs(self):
+        # Ample sets ask the interpreter for one process's transitions,
+        # which compiles the plain-mode programs mid-run: the run's
+        # stats must count them beside the graph's engine programs.
+        graph = StateGraph(local_heavy_system(2, 2), jit=True)
+        result = check_safety_por(graph)
+        assert result.ok
+        stats = result.stats
+        assert stats.programs_compiled + stats.compile_cache_hits == 2 * 2
+        assert stats.programs_compiled == \
+            graph.compile_stats["programs_compiled"]
+        assert stats.compile_seconds == graph.compile_stats["compile_seconds"]
+        assert stats.compile_seconds > 0.0

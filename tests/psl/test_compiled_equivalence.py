@@ -3,8 +3,10 @@
 Every architecture shipped in ``repro.systems`` runs through both
 backends, fused and composed: identical transition labels, identical
 successor sets, and identical ``check_safety`` verdicts (down to
-``states_expanded``).  This is the safety net behind ``--no-jit`` — the
-flag may change speed, never a verdict.
+``states_expanded``).  The compiled side is checked in both of its
+modes: the plain ``transitions()`` API and the engine-mode programs a
+``StateGraph`` walk runs.  This is the safety net behind ``--no-jit`` —
+the flag may change speed, never a verdict.
 
 Exploration is capped per case so the whole suite stays fast; both
 backends get the same cap, so any divergence still trips the asserts.
@@ -14,6 +16,8 @@ import pytest
 
 from repro.core import SingleSlotBuffer, SynBlockingSend
 from repro.mc import StateGraph, check_safety
+from repro.psl import Assign, ProcessDef, System, V
+from repro.psl.expr import Expr
 from repro.psl.interp import Interpreter
 from repro.psl.jit import CompiledInterpreter, make_interpreter
 from repro.systems.abp import build_abp
@@ -52,6 +56,24 @@ CASES = [
 CAP = 2000
 
 
+class Twice(Expr):
+    """A node outside the core grammar: neither canon nor the JIT knows it."""
+
+    __slots__ = ("operand",)
+
+    def __init__(self, operand):
+        self.operand = operand
+
+    def eval(self, ctx):
+        return 2 * self.operand.eval(ctx)
+
+    def free_vars(self):
+        return self.operand.free_vars()
+
+    def to_promela(self):
+        return f"(2 * {self.operand.to_promela()})"
+
+
 def _label_key(label):
     return (label.pid, label.process, label.kind, label.desc, label.chan,
             label.message, label.partner_pid, label.partner)
@@ -83,6 +105,26 @@ def _walk(interp, limit=CAP):
     return edges, len(order)
 
 
+def _successor_lists(initial, successors, limit=CAP):
+    """Each state's successor list, in bounded BFS order.
+
+    ``successors(state)`` yields ``(label key, target state, violation)``
+    triples.  Targets stay full states, so a wrong component shows even
+    where ``_walk``'s encounter numbering would agree.
+    """
+    order = [initial]
+    seen = {initial}
+    lists = []
+    while len(lists) < len(order) and len(lists) < limit:
+        succ = list(successors(order[len(lists)]))
+        lists.append(succ)
+        for _label, target, _violation in succ:
+            if target not in seen:
+                seen.add(target)
+                order.append(target)
+    return lists
+
+
 class TestTransitionEquivalence:
     @pytest.mark.parametrize("name,fused", CASES)
     def test_same_labels_and_successors(self, name, fused):
@@ -93,6 +135,23 @@ class TestTransitionEquivalence:
         assert type(treewalk) is Interpreter
         assert compiled.initial_state() == treewalk.initial_state()
         assert _walk(compiled) == _walk(treewalk)
+
+        # Third backend: the engine-mode programs a StateGraph walk runs.
+        graph = StateGraph(system, jit=True)
+        assert isinstance(graph.interp, CompiledInterpreter)
+
+        def engine(state):
+            for t in graph.transitions(graph.store.id_of(state)):
+                yield _label_key(t.label), graph.state(t.target), t.violation
+
+        def tree(state):
+            for t in treewalk.transitions(state):
+                yield _label_key(t.label), t.target, t.violation
+
+        initial = graph.state(graph.initial_id)
+        assert initial == treewalk.initial_state()
+        assert (_successor_lists(initial, engine)
+                == _successor_lists(initial, tree))
 
 
 class TestVerdictEquivalence:
@@ -147,3 +206,16 @@ class TestBackendSelection:
         system = ARCHES["rpc"]().to_system(fused=True)
         assert StateGraph(system, jit=False).compile_stats is None
         assert StateGraph(system, jit=True).compile_stats is not None
+
+    def test_definition_canon_cannot_digest_falls_back_at_construction(self):
+        system = System("twice")
+        system.spawn(ProcessDef("p", Assign("x", Twice(V("x") + 1)),
+                                local_vars={"x": 0}), "p")
+        assert type(make_interpreter(system, jit=True)) is Interpreter
+        graph = StateGraph(system, jit=True)
+        assert graph.compile_stats is None
+        jitted = check_safety(graph)
+        walked = check_safety(StateGraph(system, jit=False))
+        assert jitted.ok and walked.ok
+        assert jitted.stats.states_stored == walked.stats.states_stored == 2
+        assert graph.state(1).frames[0] == (2,)
