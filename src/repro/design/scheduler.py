@@ -100,6 +100,7 @@ from ..obs.events import (
 )
 from ..obs.report import _stats_payload
 from ..obs.reporters import CollectingReporter, Reporter, ScenarioScope
+from ..psl.jit import program_store
 from . import failpoints
 from .backend import CacheBackend
 from .fingerprint import fingerprint_job
@@ -282,19 +283,21 @@ def _run_variant_task(payload: bytes) -> Tuple[Dict[str, Any],
     becomes per-variant), and when the parent has a reporter its
     progress interval travels in the payload so the worker buffers
     events in a :class:`~repro.obs.reporters.CollectingReporter` for
-    deterministic replay after the join.  The ``worker.run`` failpoint
-    (keyed by variant index) lets the chaos suite kill or stall this
-    worker mid-job.
+    deterministic replay after the join.  So does the verdict store's
+    directory, whose compiled programs the worker reads and adds to.
+    The ``worker.run`` failpoint (keyed by variant index) lets the chaos
+    suite kill or stall this worker mid-job.
     """
     (variant, invariants, check_deadlock, goal, ltl, ltl_props, scenarios,
-     max_states, max_seconds, interval) = pickle.loads(payload)
+     max_states, max_seconds, interval, store_dir) = pickle.loads(payload)
     failpoints.hit("worker.run", token=variant.index)
     collector = None if interval is None else CollectingReporter(interval)
-    record = _verify_variant(
-        variant, invariants, check_deadlock, goal, ltl, ltl_props,
-        scenarios, ModelLibrary(), max_states, max_seconds,
-        reporter=collector,
-    )
+    with program_store(store_dir):
+        record = _verify_variant(
+            variant, invariants, check_deadlock, goal, ltl, ltl_props,
+            scenarios, ModelLibrary(), max_states, max_seconds,
+            reporter=collector,
+        )
     return record, ([] if collector is None else collector.events)
 
 
@@ -407,7 +410,10 @@ def explore(
     the concurrent SQLite store from
     :func:`~repro.design.backend.open_cache`) and journaled as they
     finalize; the cache is flushed and closed before returning (both
-    backends transparently reopen if used again).
+    backends transparently reopen if used again).  The JIT keeps its
+    compiled programs in the cache's directory too (see
+    :func:`~repro.psl.jit.program_store`), so a variant compiles only the
+    process programs that no earlier run on this store compiled.
 
     Fault tolerance knobs: ``retry`` (a
     :class:`~repro.design.supervise.RetryPolicy`; default one retry
@@ -507,11 +513,16 @@ def explore(
             ran: Optional[List[Tuple[int, Dict[str, Any],
                                      List[EngineEvent],
                                      Optional[JobFailure]]]] = None
+            # Compiled programs live beside the verdict store, so a
+            # variant compiles only the process programs no earlier run
+            # on this store has compiled.
+            store_dir = cache.directory if cache is not None else None
             if jobs > 1 and len(to_run) > 1:
                 ran = _explore_supervised(
                     variants, to_run, invariants, check_deadlock, goal, ltl,
                     ltl_props, scenarios, max_states, max_seconds, jobs,
                     policy, reporter, retry_policy, job_timeout, interrupt,
+                    store_dir,
                 )
                 if ran is None:
                     message = ("parallel exploration degraded to a serial "
@@ -521,11 +532,13 @@ def explore(
                     if reporter is not None:
                         reporter.emit(warning("explore", message=message))
             if ran is None:
-                ran = _explore_serial(
-                    variants, to_run, invariants, check_deadlock, goal, ltl,
-                    ltl_props, scenarios, library, max_states, max_seconds,
-                    policy, reporter, total, retry_policy, interrupt,
-                )
+                with program_store(store_dir):
+                    ran = _explore_serial(
+                        variants, to_run, invariants, check_deadlock, goal,
+                        ltl, ltl_props, scenarios, library, max_states,
+                        max_seconds, policy, reporter, total, retry_policy,
+                        interrupt,
+                    )
             done_count = sum(resumed)
             failed_count = 0
             for i, record, _events, failure in ran:
@@ -764,6 +777,7 @@ def _explore_supervised(
     retry_policy: RetryPolicy,
     job_timeout: Optional[float],
     interrupt: threading.Event,
+    store_dir: Optional[str],
 ) -> Optional[List[Tuple[int, Dict[str, Any], List[EngineEvent],
                          Optional[JobFailure]]]]:
     """Fan variant jobs over the supervised pool; None = fall back serial.
@@ -784,7 +798,7 @@ def _explore_supervised(
             pickle.dumps((
                 variants[i], tuple(invariants), check_deadlock, goal, ltl,
                 dict(ltl_props) if ltl_props else None, tuple(scenarios),
-                max_states, max_seconds, interval,
+                max_states, max_seconds, interval, store_dir,
             ))
             for i in to_run
         ]

@@ -183,8 +183,10 @@ def compile_phase(checker: str, *, programs_compiled: int,
     """The run's interpreter was JIT-compiled (or served from cache).
 
     Emitted once per compiled interpreter, by the first instrumented
-    run that uses it, right after ``run_started`` — so reports show the
-    compile phase where its time was actually spent.
+    run that uses it, right before ``run_finished``, from the counters
+    the run's :class:`~repro.mc.result.Statistics` carry — so it also
+    counts programs compiled mid-run (the plain-mode programs partial
+    order reduction uses) and programs read from a program store.
     """
     return EngineEvent(EVENT_COMPILE, checker, data={
         "programs_compiled": programs_compiled,
@@ -425,19 +427,6 @@ class RunInstrument:
             max_states=max_states,
             max_seconds=max_seconds,
         ))
-        # One-shot compile event: the first instrumented run on a
-        # compiled interpreter reports its codegen bill, so a report's
-        # timeline shows compilation exactly once, where it happened.
-        compile_stats = graph.compile_stats
-        if compile_stats and not getattr(graph.interp,
-                                         "_compile_reported", False):
-            graph.interp._compile_reported = True
-            reporter.emit(compile_phase(
-                checker,
-                programs_compiled=compile_stats.get("programs_compiled", 0),
-                compile_cache_hits=compile_stats.get("digest_hits", 0),
-                compile_seconds=compile_stats.get("compile_seconds", 0.0),
-            ))
 
     def elapsed(self) -> float:
         return time.perf_counter() - self.started_at
@@ -478,6 +467,19 @@ class RunInstrument:
 
     def finish(self, *, ok: bool, stats: "Statistics",
                incomplete: bool = False) -> None:
+        # One-shot compile event: the first instrumented run on a
+        # compiled interpreter reports its codegen bill, so a report's
+        # timeline shows compilation exactly once.
+        interp = self.graph.interp
+        if (self.graph.compile_stats
+                and not getattr(interp, "_compile_reported", False)):
+            interp._compile_reported = True
+            self.reporter.emit(compile_phase(
+                self.checker,
+                programs_compiled=stats.programs_compiled,
+                compile_cache_hits=stats.compile_cache_hits,
+                compile_seconds=stats.compile_seconds,
+            ))
         verdict = "FAIL" if not ok else ("INCOMPLETE" if incomplete
                                          else "PASS")
         self.reporter.emit(run_finished(

@@ -30,6 +30,11 @@ This module removes that per-step dispatch entirely:
   numbering in a system of the same shape reuses its program (the same
   design checked again, a fault scenario of it); a differently shaped
   variant compiles its own.
+* Inside a :func:`program_store` block the cache has a second level on
+  disk, beside a verdict store: a program missing from memory is read
+  from ``<store>/programs/<codegen digest>/<key digest>``, and every
+  program compiled is written there, so one process's compile is the
+  next one's cache hit.
 * A program is lowered in one of two modes.  *Engine-mode* programs,
   the only ones a :class:`~repro.mc.engine.StateGraph` walk runs,
   intern successors straight into the graph's store; they are compiled
@@ -49,11 +54,16 @@ tree-walk path — the debugging fallback.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import importlib.util
+import marshal
 import os
 import re
+import stat
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .compiler import (
     OpAssert,
@@ -80,6 +90,7 @@ __all__ = [
     "jit_enabled",
     "make_interpreter",
     "program_cache_info",
+    "program_store",
 ]
 
 
@@ -397,6 +408,162 @@ def _program_key(pid: int, inst: ProcessInstance, system: System) -> tuple:
     shape = (len(system.instances), len(system.channels),
              len(system.global_index))
     return (digest, pid, defn.local_names, globals_sig, chans_sig, shape)
+
+
+# ---------------------------------------------------------------------------
+# Program store: the on-disk level of the program cache
+# ---------------------------------------------------------------------------
+
+#: A program file: this tag, a SHA-256 checksum, the payload (the
+#: marshalled key, source, code object and bind-time recipe).  The
+#: checksum covers the codegen digest and the payload, so a file moved in
+#: from another codegen directory never loads.
+_FILE_TAG = b"repro-psl-program/1\n"
+_HEAD = len(_FILE_TAG) + hashlib.sha256().digest_size
+
+
+def _codegen_digest() -> Optional[str]:
+    """Digest of the code generator: every source file of :mod:`repro.psl`
+    and the interpreter's bytecode magic number (``None`` without them).
+
+    Any change to the lowering (or a different Python) names a fresh
+    ``programs/`` subdirectory, so a stored program is only ever read by
+    the code that could have written it.
+    """
+    h = hashlib.sha256(importlib.util.MAGIC_NUMBER)
+    package = os.path.dirname(os.path.abspath(__file__))
+    try:
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), "rb") as f:
+                    data = f.read()
+                h.update(f"{name}\0{len(data)}\0".encode() + data)
+    except OSError:
+        return None
+    return h.hexdigest()[:32]
+
+
+#: Taken as the code loads, not when a store first opens: it must
+#: describe the code this process runs, even after its sources change
+#: under a long-lived process (a daemon's forkserver, say).
+_CODEGEN = _codegen_digest()
+_LOCAL = threading.local()
+
+
+def _private_dir(name: str, dir_fd: Optional[int]) -> int:
+    """Create (owner-only) and open the directory *name*; refuse it unless
+    this user owns it and neither group nor others can write to it."""
+    try:
+        os.mkdir(name, 0o700, dir_fd=dir_fd)
+    except FileExistsError:
+        pass
+    fd = os.open(name, os.O_RDONLY | os.O_DIRECTORY, dir_fd=dir_fd)
+    st = os.fstat(fd)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        os.close(fd)
+        raise PermissionError(f"{name!r} is not private to this user")
+    return fd
+
+
+def _file_name(key: tuple) -> str:
+    """A program's file name: the digest of its key (ints and strings)."""
+    return hashlib.sha256(repr(key).encode()).hexdigest()
+
+
+class _ProgramStore:
+    """Compiled programs under ``<directory>/programs/<codegen digest>/``.
+
+    The files hold executable code, so the directories are owner-only
+    and checked once, when the store opens; reads and writes then go
+    through the checked directory's descriptor.  Every failure — a
+    missing, truncated, corrupt or foreign file, an unwritable disk —
+    only means the program gets compiled.
+    """
+
+    def __init__(self, fd: int, codegen: str) -> None:
+        self._fd = fd
+        self._codegen = codegen.encode()
+
+    @classmethod
+    def open(cls, directory: str) -> Optional["_ProgramStore"]:
+        if _CODEGEN is None:
+            return None
+        try:
+            root = _private_dir(os.path.join(directory, "programs"), None)
+            try:
+                return cls(_private_dir(_CODEGEN, root), _CODEGEN)
+            finally:
+                os.close(root)
+        except OSError:
+            return None
+
+    def _checksum(self, payload) -> bytes:
+        return hashlib.sha256(self._codegen + payload).digest()
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+    def _opener(self, name: str, flags: int) -> int:
+        return os.open(name, flags | os.O_NOFOLLOW, 0o600, dir_fd=self._fd)
+
+    def load(self, key: tuple) -> Optional[_Program]:
+        try:
+            with open(_file_name(key), "rb", opener=self._opener) as f:
+                st = os.fstat(f.fileno())
+                if st.st_uid != os.getuid() or not stat.S_ISREG(st.st_mode):
+                    return None
+                blob = f.read()
+        except OSError:
+            return None
+        payload = blob[_HEAD:]
+        if (blob[:len(_FILE_TAG)] != _FILE_TAG
+                or self._checksum(payload) != blob[len(_FILE_TAG):_HEAD]):
+            return None
+        # The checksum vouches that save() wrote this payload; the key
+        # check catches a file copied in under another program's name.
+        fields = marshal.loads(payload)
+        return _Program(*fields) if fields[0] == key else None
+
+    def save(self, program: _Program) -> None:
+        try:
+            payload = marshal.dumps(tuple(getattr(program, slot)
+                                          for slot in _Program.__slots__))
+        except ValueError:
+            return
+        name = _file_name(program.key)
+        temp = f".{name}.{os.urandom(8).hex()}.tmp"
+        try:
+            with open(temp, "xb", opener=self._opener) as f:
+                f.write(_FILE_TAG + self._checksum(payload) + payload)
+            os.replace(temp, name, src_dir_fd=self._fd, dst_dir_fd=self._fd)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(temp, dir_fd=self._fd)
+
+
+@contextlib.contextmanager
+def program_store(directory: Optional[str]) -> Iterator[None]:
+    """Keep compiled programs under ``<directory>/programs`` in this block.
+
+    While the block runs, this thread's :class:`CompiledInterpreter`\\ s
+    read a program missing from the in-memory cache from the store (a
+    cache hit, its read time counted as compile time) and write every
+    program they compile to it.  ``directory`` is a verdict store's
+    directory; ``None``, or a ``programs/`` directory that another user
+    owns or that group or others can write to, leaves the caller's
+    setting in force.
+    """
+    store = None if directory is None else _ProgramStore.open(directory)
+    if store is None:
+        yield
+        return
+    previous = getattr(_LOCAL, "store", None)
+    _LOCAL.store = store
+    try:
+        yield
+    finally:
+        _LOCAL.store = previous
+        store.close()
 
 
 def _emit_T(body: "_SourceWriter", ind: int, label: str, target: str,
@@ -1002,8 +1169,9 @@ class CompiledInterpreter(Interpreter):
 
     ``compile_stats`` records this interpreter's share of compilation
     work in both modes: ``programs_compiled`` (cache misses),
-    ``digest_hits`` (cache hits), and ``compile_seconds`` (codegen +
-    bind + link time).
+    ``digest_hits`` (cache hits, in memory or in an active
+    :func:`program_store`), and ``compile_seconds`` (codegen, store
+    reads and writes, bind and link time).
     """
 
     def __init__(self, system: System) -> None:
@@ -1038,15 +1206,20 @@ class CompiledInterpreter(Interpreter):
             key = key + ("engine",)
         with _CACHE_LOCK:
             program = _PROGRAM_CACHE.get(key)
-            if program is not None:
-                self.compile_stats["digest_hits"] += 1
-                _CACHE_STATS["digest_hits"] += 1
-                return program
-        program = _generate_program(key, pid, inst, system, engine)
+        counter = "digest_hits"
+        if program is None:
+            # Second level: the program store, when one is active.
+            store = getattr(_LOCAL, "store", None)
+            program = store.load(key) if store is not None else None
+            if program is None:
+                program = _generate_program(key, pid, inst, system, engine)
+                counter = "programs_compiled"
+                if store is not None:
+                    store.save(program)
         with _CACHE_LOCK:
             _PROGRAM_CACHE[key] = program
-            self.compile_stats["programs_compiled"] += 1
-            _CACHE_STATS["programs_compiled"] += 1
+            self.compile_stats[counter] += 1
+            _CACHE_STATS[counter] += 1
         return program
 
     def _bind(self, program: _Program, pid: int, inst: ProcessInstance,

@@ -38,6 +38,7 @@ from ..design.fingerprint import fingerprint_job
 from ..mc.props import Prop
 from ..obs.reporters import Reporter
 from ..psl.canon import digest_payload
+from ..psl.jit import program_store
 
 __all__ = [
     "JOB_SCHEMA",
@@ -424,8 +425,10 @@ def run_job(spec: Any, *, reporter: Optional[Reporter] = None,
     The record is plain JSON: verdict (PASS / FAIL / INCOMPLETE), the
     CLI-compatible exit code, timing, and the full run-report payload —
     exactly what the service caches by fingerprint and what every
-    coalesced client receives.  ``cache_dir`` (explore jobs only) points
-    the variant-level verdict cache at the service's shared store.
+    coalesced client receives.  ``cache_dir`` is the service's shared
+    store: explore jobs keep their variant verdicts there, and every job
+    reads and adds to the compiled programs kept beside it.
     """
     built = build_job(spec)
-    return built.runner(reporter, cache_dir)
+    with program_store(cache_dir):
+        return built.runner(reporter, cache_dir)

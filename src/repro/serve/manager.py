@@ -54,11 +54,12 @@ import multiprocessing
 import os
 import pickle
 import queue
+import sys
 import threading
 import time
 import uuid
 from collections import OrderedDict
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..design import failpoints
 from ..design.backend import detect_backend, open_cache
@@ -93,17 +94,29 @@ _CACHE_STAMPS = ("schema", "fingerprint", "crc")
 SPEC_MEMO_SIZE = 1024
 
 #: Imported once in the forkserver, so a sandbox starts with the job
-#: code loaded: ``repro.serve`` and the systems ``jobs`` imports lazily.
-#: Not ``repro.cli``: every child re-runs the daemon's ``__main__``
-#: (``python -m repro.cli``), and runpy warns when that module is
-#: already imported.
+#: code loaded: this module (and with it ``repro.serve.jobs``) and the
+#: systems ``jobs`` imports lazily.  Not ``repro.cli``: every child
+#: re-runs the daemon's ``__main__`` (``python -m repro.cli``), and
+#: runpy warns when that module is already imported.
 _SANDBOX_PRELOAD = [
-    "repro.serve.jobs",
+    "repro.serve.manager",
     "repro.systems.abp",
     "repro.systems.bridge",
     "repro.systems.gas_station",
     "repro.systems.producer_consumer",
 ]
+
+
+#: The process that imported this module.  A sandbox forked from a
+#: forkserver that preloaded it sees the forkserver's pid here; its own
+#: pid means the preload failed and the sandbox imported repro itself.
+_IMPORTED_IN = os.getpid()
+
+#: Printed once per manager when a sandbox reports a failed preload.
+_PRELOAD_WARNING = (
+    "repro serve: the sandbox forkserver could not import repro, so "
+    "every sandbox imports it again (about 0.15 s per job); put {src} on "
+    "PYTHONPATH or install the package\n")
 
 
 class ServeError(RuntimeError):
@@ -114,21 +127,23 @@ class DrainingError(ServeError):
     """A submission arrived after drain began (HTTP 503)."""
 
 
-def _serve_job_task(payload: bytes) -> Dict[str, Any]:
+def _serve_job_task(payload: bytes) -> Tuple[Dict[str, Any], bool]:
     """Supervised-worker entry point: run one service job in a sandbox.
 
     The child appends its engine events *live* to the job's
     ``events.jsonl`` (per-event flush), which is what the daemon's
     streaming endpoint tails — a client watches verification progress
-    while the state space is still being explored.
+    while the state space is still being explored.  Returns the record
+    and whether this sandbox started with repro preloaded.
     """
     spec, events_path, cache_dir, interval = pickle.loads(payload)
     failpoints.hit("serve.run", token=spec.get("system") or spec.get("space"))
     reporter = JsonlReporter(events_path, interval=interval)
     try:
-        return run_job(spec, reporter=reporter, cache_dir=cache_dir)
+        record = run_job(spec, reporter=reporter, cache_dir=cache_dir)
     finally:
         reporter.close()
+    return record, _IMPORTED_IN != os.getpid()
 
 
 def _sandbox_context():
@@ -220,6 +235,7 @@ class JobManager:
         self._draining = False
         self._stop_starting = threading.Event()
         self._skipped_on_drain: List[str] = []
+        self._preload_warned = False
         self.counters: Dict[str, int] = {
             "submitted": 0, "cache_hits": 0, "coalesced": 0,
             "computed": 0, "failed": 0, "recovered": 0,
@@ -484,7 +500,9 @@ class JobManager:
             outcomes = pool.run(_serve_job_task, [payload], keys=[job.id])
             outcome = outcomes[0] if outcomes else None
             if outcome is not None and outcome.ok:
-                record = outcome.result
+                record, preloaded = outcome.result
+                if not preloaded:
+                    self._warn_preload()
             elif outcome is not None:
                 error = outcome.failure.describe()
             else:  # pragma: no cover - stop never set here
@@ -495,6 +513,23 @@ class JobManager:
         if record is not None:
             self._cache().put(job.fingerprint, dict(record))
         self._finalize(job_id, record=record, error=error, seconds=seconds)
+
+    def _warn_preload(self) -> None:
+        """Say once that sandboxes start without repro preloaded.
+
+        On Python up to 3.13 the forkserver ignores the ``sys.path`` it
+        is handed and swallows the preload's ``ImportError``, so a daemon
+        that put repro on ``sys.path`` only at run time gets sandboxes
+        that each import it again.
+        """
+        with self._lock:
+            if self._preload_warned:
+                return
+            self._preload_warned = True
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
+        sys.stderr.write(_PRELOAD_WARNING.format(src=src))
+        sys.stderr.flush()
 
     def _run_inline(self, job: _Job, events_path: str):
         """Run the job on this worker thread, with exception retries.

@@ -164,28 +164,49 @@ class TestRunInstrument:
         graph = self._graph()
         RunInstrument(rep, "safety-bfs", graph)
         kinds = [e.type for e in rep.events]
-        if graph.compile_stats is not None:
-            # A compiled graph reports its codegen bill exactly once,
-            # right after run_started.
-            assert kinds == [EVENT_RUN_STARTED, EVENT_COMPILE]
-        else:
-            assert kinds == [EVENT_RUN_STARTED]
+        # The compile event waits for the run's end (see below).
+        assert kinds == [EVENT_RUN_STARTED]
         assert rep.events[0].data["cache"] == PHASE_COLD
 
     def test_compile_event_is_one_shot_per_interpreter(self):
+        from repro.mc.result import Statistics
+
         graph = self._graph()
         if graph.compile_stats is None:
             return  # tree-walk fallback: nothing to report
         rep = CollectingReporter()
-        RunInstrument(rep, "safety-bfs", graph)
-        RunInstrument(rep, "count-states", graph)
+        for checker in ("safety-bfs", "count-states"):
+            stats = Statistics()
+            stats.apply_compile_stats(graph.compile_stats)
+            RunInstrument(rep, checker, graph).finish(ok=True, stats=stats)
         kinds = [e.type for e in rep.events]
-        assert kinds.count(EVENT_COMPILE) == 1
-        compile_event = next(e for e in rep.events
-                             if e.type == EVENT_COMPILE)
-        data = compile_event.data
+        # A compiled graph reports its codegen bill exactly once, right
+        # before the first run's run_finished.
+        assert kinds == [EVENT_RUN_STARTED, EVENT_COMPILE, EVENT_RUN_FINISHED,
+                         EVENT_RUN_STARTED, EVENT_RUN_FINISHED]
+        data = rep.events[1].data
         assert data["programs_compiled"] + data["compile_cache_hits"] > 0
         assert data["compile_seconds"] >= 0.0
+
+    def test_compile_event_counts_what_the_run_statistics_count(self):
+        # POR compiles the plain-mode programs mid-run; the event must
+        # report the same totals as the run's Statistics, not the
+        # engine-mode programs alone.
+        from repro.mc.por import check_safety_por
+
+        graph = self._graph()
+        if graph.compile_stats is None:
+            return  # tree-walk fallback: nothing to report
+        rep = CollectingReporter()
+        result = check_safety_por(graph, reporter=rep)
+        events = [e for e in rep.events if e.type == EVENT_COMPILE]
+        assert len(events) == 1
+        data = events[0].data
+        assert (data["programs_compiled"], data["compile_cache_hits"]) == (
+            result.stats.programs_compiled, result.stats.compile_cache_hits)
+        n = len(graph.system.instances)
+        assert (result.stats.programs_compiled
+                + result.stats.compile_cache_hits) == 2 * n
 
     def test_tick_respects_reporter_interval(self):
         rep = CollectingReporter(interval=3)

@@ -18,7 +18,11 @@ and the SIGTERM drain contract:
     (``serve.run=sleep``) and assert exactly one computation;
 5.  re-submit after completion and assert a warm cache hit under
     100 ms;
-6.  SIGTERM the daemon and assert a clean drain (exit code 0).
+6.  SIGTERM the daemon and assert a clean drain (exit code 0);
+7.  start a supervised daemon (sandboxed jobs) on a fresh store and
+    verify one design under two budgets — two fingerprints, two
+    sandboxes — and assert that the second sandbox compiled no program:
+    it read every one from the programs the first left beside the store.
 
 Run it locally::
 
@@ -27,6 +31,7 @@ Run it locally::
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -84,19 +89,70 @@ def wait_for_daemon(client, seconds=30.0):
     raise SystemExit("daemon never became healthy")
 
 
+def start_daemon(cache_dir, *extra, failpoints=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src"
+    env.pop("REPRO_FAILPOINTS", None)
+    if failpoints:
+        env["REPRO_FAILPOINTS"] = failpoints
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", str(PORT),
+         "--cache-dir", cache_dir, "--workers", "2", *extra],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True)
+
+
+def drain(daemon):
+    """SIGTERM the daemon; return its exit code and output."""
+    daemon.send_signal(signal.SIGTERM)
+    try:
+        exit_code = daemon.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        daemon.kill()
+        raise SystemExit("daemon did not drain within 60s")
+    return exit_code, daemon.stdout.read()
+
+
+def sandboxes_reuse_programs(workdir, client):
+    """Step 7: a second sandbox reads what the first one compiled."""
+    daemon = start_daemon(os.path.join(workdir, "sandboxed"))
+    try:
+        wait_for_daemon(client)
+        stats = []
+        for max_states in (1_000_000, 1_000_001):
+            view = client.submit({"kind": "verify", "system": "gas",
+                                  "options": {"customers": 2,
+                                              "selective": True,
+                                              "max_states": max_states}})
+            done = client.wait(view["job_id"], timeout=120)
+            check(done["verdict"] == "PASS" and not done["cached"],
+                  f"sandboxed job with max_states={max_states:,} computed "
+                  f"a PASS")
+            stats.append(client.report(view["job_id"])["run"]["statistics"])
+        first, second = stats
+        total = first["programs_compiled"] + first["compile_cache_hits"]
+        check(second["programs_compiled"] == 0
+              and second["compile_cache_hits"] == total > 0,
+              f"the second sandbox compiled nothing and read all {total} "
+              f"programs from the store (first: {first['programs_compiled']}"
+              f" compiled; second: {second['programs_compiled']} compiled, "
+              f"{second['compile_cache_hits']} hits)")
+        exit_code, output = drain(daemon)
+        check(exit_code == 0, f"sandboxed daemon drained cleanly "
+              f"(got {exit_code}; output: {output[-300:]})")
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait(timeout=10)
+
+
 def main() -> int:
     workdir = tempfile.mkdtemp(prefix="serve-smoke-")
     cache_dir = os.path.join(workdir, "cache")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
     # Hold computed jobs ~1.5s so the coalescing window is provably
     # open while the duplicate submission arrives.
-    env["REPRO_FAILPOINTS"] = "serve.run=sleep:1.5"
-    daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--port", str(PORT),
-         "--cache-dir", cache_dir, "--workers", "2", "--inline"],
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True)
+    daemon = start_daemon(cache_dir, "--inline",
+                          failpoints="serve.run=sleep:1.5")
     client = ServeClient(URL)
     try:
         wait_for_daemon(client)
@@ -167,23 +223,21 @@ def main() -> int:
               "(canonical JSON, volatile timing fields normalized)")
 
         # -- graceful drain on SIGTERM ---------------------------------
-        daemon.send_signal(signal.SIGTERM)
-        try:
-            exit_code = daemon.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            daemon.kill()
-            raise SystemExit("daemon did not drain within 60s")
-        output = daemon.stdout.read()
+        exit_code, output = drain(daemon)
         check(exit_code == 0, f"daemon drained cleanly with exit 0 "
               f"(got {exit_code}; output: {output[-300:]})")
         check("drained cleanly" in output,
               "daemon reported the clean drain")
+
+        # -- sandboxes share compiled programs through the store -------
+        sandboxes_reuse_programs(workdir, client)
         print("serve smoke: all checks passed")
         return 0
     finally:
         if daemon.poll() is None:
             daemon.kill()
             daemon.wait(timeout=10)
+        shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
