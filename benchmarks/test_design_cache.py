@@ -8,12 +8,7 @@ it warm against the same cache directory, asserts that the warm run
 skips >= 90% of the verification work *and* reproduces the paper's
 design arc (async enter sends FAIL, sync PASS, the at-most-N design
 ranks best), then appends the measurements to ``BENCH_design.json``.
-
-The warm leg is then repeated on the **SQLite backend** (the JSONL
-corpus migrated in place with ``migrate_jsonl_to_sqlite``): the
-concurrent-safe store must serve 100% from cache too, at a warm time
-comparable to the journal's — concurrency safety must not tax the
-single-process fast path.
+The cold run starts from a fresh SQLite verdict store.
 
 Run:  pytest benchmarks/test_design_cache.py --benchmark-disable -q
 """
@@ -25,7 +20,7 @@ from pathlib import Path
 
 from conftest import record
 
-from repro.design import explore, migrate_jsonl_to_sqlite, open_cache
+from repro.design import explore, open_cache
 from repro.systems.bridge import (
     BridgeConfig,
     bridge_design_space,
@@ -51,12 +46,12 @@ def _record_json(workload: str, payload: dict) -> None:
     BENCH_PATH.write_text(json.dumps(data, indent=2) + "\n")
 
 
-def _explore(cache_dir, backend="jsonl"):
+def _explore(cache_dir):
     return explore(
         bridge_design_space(BridgeConfig(trips=1)),
         invariants=[bridge_safety_prop()],
         faults=bridge_fault_scenarios(),
-        cache=open_cache(cache_dir, backend=backend),
+        cache=open_cache(cache_dir),
     )
 
 
@@ -107,23 +102,4 @@ def test_warm_exploration_skips_verification(benchmark, tmp_path):
         "states_skipped": states_skipped,
         "states_total": states_total,
         "best": cold.best["variant"],
-    })
-
-    # The concurrent-safe backend must keep the warm path: migrate the
-    # JSONL corpus in place, re-run warm on SQLite, and compare.
-    migration = migrate_jsonl_to_sqlite(cache_dir)
-    assert migration["migrated"] == len(cold.results)
-    warm_sql, warm_sql_seconds = _timed(
-        lambda: _explore(cache_dir, backend="sqlite"))
-    served_sql = warm_sql.cached_count / len(warm_sql.results)
-    assert served_sql == 1.0  # every verdict carried over the migration
-    assert ([(r["variant"], r["verdict"]) for r in warm_sql.ranked]
-            == [(r["variant"], r["verdict"]) for r in cold.ranked])
-    _record_json("bridge_warm_sqlite", {
-        "space": "single_lane_bridge(trips=1)",
-        "variants": len(warm_sql.results),
-        "warm_seconds": round(warm_sql_seconds, 3),
-        "warm_seconds_jsonl": round(warm_seconds, 3),
-        "served_from_cache": round(served_sql, 3),
-        "migrated_records": migration["migrated"],
     })

@@ -16,7 +16,7 @@ The combinations are declared as a :class:`repro.design.DesignSpace`
 :func:`repro.design.explore`, which shares one model library across all
 20 verification runs — the sweep costs a handful of block models plus
 two component models, the paper's reuse claim working at
-design-exploration scale.  Pass a ``cache=ResultCache(dir)`` to
+design-exploration scale.  Pass a ``cache=open_cache(dir)`` to
 ``explore`` and a re-run of this script would serve every verdict from
 disk; the ``repro explore`` command wires that up.
 

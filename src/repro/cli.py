@@ -20,25 +20,23 @@ Commands:
   print the verdict matrix; ``--jobs`` fans independent scenarios out
   over a process pool;
 * ``explore {bridge | pc} [--jobs N] [--cache-dir DIR] [--no-cache]
-  [--backend {auto,jsonl,sqlite}] [--cache-max-mb MB] [--first-pass]
-  [--max-states S] [--max-seconds T] [--run-id ID] [--resume ID]
-  [--retries N] [--job-timeout T]`` — enumerate a design space, verify
-  every variant (served from the persistent content-addressed cache
-  when fingerprints match a previous run), and print the Pareto-ranked
-  verdict table.  ``--cache-dir`` defaults to ``$REPRO_CACHE_DIR`` or
-  ``.repro-cache``; ``--backend`` picks the verdict store (default
-  auto-detect: an existing directory keeps its format, a fresh one
-  gets the concurrent-safe sqlite store).  Every cached run journals
-  per-job progress under ``<cache>/runs/<run-id>``; an interrupted run
-  (Ctrl-C exits with code 2) resumes with ``--resume ID``, re-running
-  only the jobs that never finished;
+  [--cache-max-mb MB] [--first-pass] [--max-states S]
+  [--max-seconds T] [--run-id ID] [--resume ID] [--retries N]
+  [--job-timeout T]`` — enumerate a design space, verify every variant
+  (served from the persistent content-addressed cache when
+  fingerprints match a previous run), and print the Pareto-ranked
+  verdict table.  ``--cache-dir`` (default ``$REPRO_CACHE_DIR`` or
+  ``.repro-cache``) holds the sqlite verdict store.  Every cached run
+  journals per-job progress under ``<cache>/runs/<run-id>``; an
+  interrupted run (Ctrl-C exits with code 2) resumes with ``--resume
+  ID``, re-running only the jobs that never finished;
 * ``cache {info | verify | compact | migrate | fsck} [--cache-dir DIR]
-  [--backend B] [--cache-max-mb MB]`` — inspect the result cache,
-  audit its checksums and integrity, compact/vacuum it, convert a
-  JSONL cache to the sqlite backend verdict-equivalently, or repair
-  damage (``fsck`` drops corrupt records, or quarantines an unreadable
-  sqlite store and starts fresh — verdicts degrade to misses, never to
-  wrong answers);
+  [--cache-max-mb MB]`` — inspect the result cache, audit its
+  checksums and integrity, compact/vacuum it, import the
+  ``results.jsonl`` journal of a directory written before the sqlite
+  store verdict-equivalently, or repair damage (``fsck`` drops corrupt
+  records, or quarantines an unreadable store and starts fresh —
+  verdicts degrade to misses, never to wrong answers);
 * ``serve [--host H] [--port P] [--cache-dir DIR] [--workers N]
   [--inline] [--retries N] [--job-timeout T] [--drain-timeout T]`` —
   run the verification service: a stdlib HTTP daemon that schedules
@@ -410,8 +408,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if not args.no_cache:
         cache_dir = args.cache_dir or os.environ.get(
             "REPRO_CACHE_DIR") or ".repro-cache"
-        cache = open_cache(cache_dir, backend=args.backend,
-                           max_bytes=_cache_max_bytes(args))
+        cache = open_cache(cache_dir, max_bytes=_cache_max_bytes(args))
 
     retry = None
     if args.retries is not None:
@@ -474,28 +471,22 @@ def _print_kv(mapping, *, skip=("ok", "backend")) -> None:
 def _cmd_cache(args: argparse.Namespace) -> int:
     import os
 
-    from repro.design import (
-        detect_backend,
-        list_runs,
-        migrate_jsonl_to_sqlite,
-        open_cache,
-    )
+    from repro.design import list_runs, migrate_jsonl_to_sqlite, open_cache
 
     cache_dir = args.cache_dir or os.environ.get(
         "REPRO_CACHE_DIR") or ".repro-cache"
 
     if args.action == "migrate":
-        if detect_backend(cache_dir) == "sqlite":
-            print(f"cache: {cache_dir}\n  already on the sqlite backend; "
+        summary = migrate_jsonl_to_sqlite(cache_dir)
+        if summary is None:
+            print(f"cache: {cache_dir}\n  no results.jsonl journal; "
                   "nothing to migrate")
             return 0
-        summary = migrate_jsonl_to_sqlite(cache_dir)
         print(f"migrated {cache_dir} to sqlite:")
         _print_kv(summary)
         return 0
 
-    with open_cache(cache_dir, backend=args.backend,
-                    max_bytes=_cache_max_bytes(args)) as cache:
+    with open_cache(cache_dir, max_bytes=_cache_max_bytes(args)) as cache:
         if args.action == "verify":
             audit = cache.verify()
             print(f"cache: {cache.directory} ({audit['backend']} backend)")
@@ -820,15 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "$REPRO_CACHE_DIR or .repro-cache)")
     exp.add_argument("--no-cache", action="store_true",
                      help="verify every variant afresh, touch no cache")
-    exp.add_argument("--backend", choices=["auto", "jsonl", "sqlite"],
-                     default="auto",
-                     help="cache backend: jsonl (single-writer journal), "
-                          "sqlite (concurrent multi-process WAL store), or "
-                          "auto (default: whatever the directory already "
-                          "holds; sqlite for a fresh one)")
     exp.add_argument("--cache-max-mb", type=float, default=None,
                      metavar="MB",
-                     help="cap the sqlite cache size; coldest records "
+                     help="cap the cache size; coldest records "
                           "(LRU by last hit) are evicted past the cap")
     exp.add_argument("--first-pass", action="store_true",
                      help="stop at the first PASS verdict (cheapest-first "
@@ -873,21 +858,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="info: summary + journaled runs; verify: audit "
                             "record checksums and store integrity; "
                             "compact: rewrite/vacuum to live records only; "
-                            "migrate: convert a JSONL cache to sqlite, "
-                            "verdict-equivalently; fsck: repair damage "
-                            "(drop corrupt records, or quarantine an "
-                            "unreadable sqlite store)")
+                            "migrate: import a results.jsonl journal into "
+                            "the sqlite store, verdict-equivalently; fsck: "
+                            "repair damage (drop corrupt records, or "
+                            "quarantine an unreadable store)")
     cache.add_argument("--cache-dir", default=None,
                        help="cache directory (default $REPRO_CACHE_DIR or "
                             ".repro-cache)")
-    cache.add_argument("--backend", choices=["auto", "jsonl", "sqlite"],
-                       default="auto",
-                       help="cache backend (default auto: detect from the "
-                            "directory)")
     cache.add_argument("--cache-max-mb", type=float, default=None,
                        metavar="MB",
-                       help="sqlite size cap applied while this command "
-                            "has the store open (LRU eviction)")
+                       help="size cap applied while this command has the "
+                            "store open (LRU eviction)")
 
     serve = sub.add_parser(
         "serve",
@@ -898,8 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="listen port; 0 picks a free one "
                             "(default 7477)")
     serve.add_argument("--cache-dir", default=None,
-                       help="shared verdict store, sqlite backend required "
-                            "(default $REPRO_CACHE_DIR or .repro-cache)")
+                       help="shared verdict store directory (default "
+                            "$REPRO_CACHE_DIR or .repro-cache)")
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent job slots (default 2)")
     serve.add_argument("--inline", action="store_true",

@@ -9,15 +9,10 @@ first-class, resumable object:
   architecture(s) plus per-connector variation axes and constraints;
 * :mod:`~repro.design.fingerprint` — content-hash each variant's
   verification job so identical jobs run once;
-* :mod:`~repro.design.cache` — persist verdicts on disk, keyed by
-  fingerprint, so re-runs only verify what changed (the single-writer
-  JSONL journal);
-* :mod:`~repro.design.sqlcache` — the concurrent-safe SQLite/WAL
-  verdict store: many reader/writer processes, LRU eviction,
-  quarantine-on-corruption;
-* :mod:`~repro.design.backend` — the :class:`CacheBackend` protocol
-  and :func:`open_cache`, which picks the right backend for a
-  directory;
+* :mod:`~repro.design.sqlcache` — persist verdicts on disk, keyed by
+  fingerprint, so re-runs only verify what changed: one SQLite/WAL
+  store that many reader/writer processes share, with LRU eviction and
+  quarantine-on-corruption; :func:`open_cache` opens it;
 * :mod:`~repro.design.scheduler` — :func:`explore`: parallel,
   cheapest-first, cache-aware execution with early-exit policies;
 * :mod:`~repro.design.supervise` — the fault-tolerant worker pool:
@@ -29,8 +24,8 @@ first-class, resumable object:
 
 Typical use::
 
-    from repro.design import (ChannelAxis, DesignSpace, ResultCache,
-                              SendPortAxis, explore)
+    from repro.design import (ChannelAxis, DesignSpace, SendPortAxis,
+                              explore, open_cache)
 
     space = DesignSpace("pc", simple_pair(...), axes=[
         ChannelAxis("link", [SingleSlotBuffer(), FifoQueue(size=2)]),
@@ -41,8 +36,6 @@ Typical use::
     print(report.table())
 """
 
-from .backend import BACKENDS, CacheBackend, detect_backend, open_cache
-from .cache import CACHE_SCHEMA, CacheLockedError, ResultCache, classify_line
 from .fingerprint import (
     FINGERPRINT_SCHEMA,
     fingerprint_job,
@@ -78,11 +71,13 @@ from .supervise import (
     SupervisedPool,
 )
 from .sqlcache import (
+    CACHE_SCHEMA,
     CAUSE_DB_LOCKED,
     SQLITE_CONTAINER_SCHEMA,
     CacheCorruptionWarning,
     SqliteResultCache,
     migrate_jsonl_to_sqlite,
+    open_cache,
 )
 from .space import (
     COMPOSED,
@@ -99,7 +94,6 @@ from .space import (
 )
 
 __all__ = [
-    "BACKENDS",
     "CACHE_SCHEMA",
     "FINGERPRINT_SCHEMA",
     "JOURNAL_SCHEMA",
@@ -109,20 +103,15 @@ __all__ = [
     "CAUSE_TIMEOUT",
     "CAUSE_UNPICKLABLE",
     "CAUSE_WORKER_DIED",
-    "CacheBackend",
     "CacheCorruptionWarning",
-    "CacheLockedError",
     "FileLockedError",
     "JobFailure",
     "JobOutcome",
     "JournalState",
-    "ResultCache",
     "RetryPolicy",
     "RunJournal",
     "SqliteResultCache",
     "SupervisedPool",
-    "classify_line",
-    "detect_backend",
     "list_runs",
     "migrate_jsonl_to_sqlite",
     "open_cache",

@@ -10,7 +10,7 @@ else — so that:
   fingerprint and are verified once (within-run dedup);
 * re-running an exploration after editing one connector changes only
   the fingerprints of the variants that elaborate differently, so the
-  disk cache (:mod:`repro.design.cache`) re-verifies only those
+  disk cache (:mod:`repro.design.sqlcache`) re-verifies only those
   (cross-run incrementality);
 * fused and composed elaborations of the same design hash differently
   (their process definitions differ), so a cached composed verdict can

@@ -1,11 +1,11 @@
 """Checksummed append-only journals and the per-run exploration journal.
 
-Two consumers share the line format defined here:
-
-* :class:`~repro.design.cache.ResultCache` — the persistent verdict
-  store journals every record it accepts;
-* :class:`RunJournal` — ``explore()`` journals per-job lifecycle
-  records so an interrupted exploration can be resumed.
+The line format defined here is the run journal's (:class:`RunJournal`:
+``explore()`` journals per-job lifecycle records so an interrupted
+exploration can be resumed).  The JSONL verdict journal that
+:func:`~repro.design.sqlcache.migrate_jsonl_to_sqlite` imports used it
+too, and every row of the SQLite verdict store carries the same
+checksum (:func:`entry_crc`).
 
 **Line format.**  One JSON object per line, ``sort_keys`` canonical,
 carrying a ``crc`` field: the CRC-32 of the canonical JSON encoding of
@@ -17,8 +17,7 @@ the damaged records, never the journal.
 
 **Durability.**  Writers append, flush, and (by default) ``fsync`` each
 record, so a record returned to a caller is on disk.  Appends are the
-*only* mutation; rewrites (cache compaction) go through a temp file and
-an atomic ``os.replace``.
+*only* mutation.
 
 **The run journal** (schema ``repro.design-run/1``) lives under
 ``<journal dir>/<run id>/journal.jsonl`` and records one exploration's
@@ -70,7 +69,6 @@ __all__ = [
     "list_runs",
     "read_entries",
     "try_lock",
-    "unlock",
     "verify_entry",
 ]
 
@@ -82,20 +80,18 @@ _JOURNAL_NAME = "journal.jsonl"
 # -- advisory file locking -------------------------------------------------
 
 class FileLockedError(RuntimeError):
-    """Another process already holds an exclusive advisory lock.
+    """Another exploration holds a run journal's advisory lock.
 
-    Raised *instead of* corrupting a single-writer file: the JSONL
-    cache journal and the per-run journal both take an ``flock`` before
-    their first append, so a second concurrent writer fails loudly and
-    immediately rather than tearing records or losing acknowledged
-    writes through a compaction window.
+    Raised *instead of* interleaving two writers' lifecycle records:
+    :class:`RunJournal` takes an exclusive ``flock`` before its first
+    append, so a second exploration on the same run id fails loudly
+    and immediately.
     """
 
     def __init__(self, path: str, what: str) -> None:
         super().__init__(
-            f"{what} is locked by another writer: {path!r} (retry after "
-            "the holder closes, or use the sqlite cache backend for "
-            "concurrent multi-process access)")
+            f"{what} is locked: another exploration holds this run id "
+            f"({path!r}); wait for it to finish, or use another run id")
         self.path = path
 
 
@@ -104,9 +100,9 @@ def try_lock(fd: int) -> bool:
 
     Returns True when the lock was taken (always, on platforms without
     :mod:`fcntl` — locking degrades to a no-op there).  The lock is
-    released by :func:`unlock` or automatically when every descriptor
-    of the open file description closes (including on process death,
-    which is what makes a crashed writer's lock disappear).
+    released when every descriptor of the open file description
+    closes (including on process death, which is what makes a crashed
+    writer's lock disappear).
     """
     if _fcntl is None:  # pragma: no cover - non-POSIX host
         return True
@@ -115,16 +111,6 @@ def try_lock(fd: int) -> bool:
     except OSError:
         return False
     return True
-
-
-def unlock(fd: int) -> None:
-    """Release an advisory lock taken by :func:`try_lock`."""
-    if _fcntl is None:  # pragma: no cover - non-POSIX host
-        return
-    try:
-        _fcntl.flock(fd, _fcntl.LOCK_UN)
-    except OSError:  # pragma: no cover - already closed
-        pass
 
 
 # -- checksummed line format ----------------------------------------------

@@ -3,7 +3,7 @@
 ``explore`` drives a :class:`~repro.design.space.DesignSpace` end to
 end: enumerate variants, fingerprint each one's verification job
 (:mod:`repro.design.fingerprint`), serve what it can from the
-content-addressed cache (:mod:`repro.design.cache`), and fan the
+content-addressed cache (:mod:`repro.design.sqlcache`), and fan the
 remaining jobs out — cheapest-first — over supervised worker processes
 (:mod:`repro.design.supervise`) with an optional stop-on-first-pass
 policy.
@@ -82,7 +82,7 @@ from ..core.resilience import (
     verify_resilience,
 )
 from ..core.spec import ModelLibrary
-from ..mc.budget import BUDGET_INTERRUPT, BudgetExceeded
+from ..mc.budget import BudgetExceeded
 from ..mc.engine import StateGraph
 from ..mc.explore import check_safety, find_state
 from ..mc.ndfs import check_ltl
@@ -102,11 +102,11 @@ from ..obs.report import _stats_payload
 from ..obs.reporters import CollectingReporter, Reporter, ScenarioScope
 from ..psl.jit import program_store
 from . import failpoints
-from .backend import CacheBackend
 from .fingerprint import fingerprint_job
 from .journal import RunJournal
 from .rank import ExplorationReport, rank_records
 from .space import DesignSpace, Variant
+from .sqlcache import SqliteResultCache
 from .supervise import (
     CAUSE_EXCEPTION,
     JobFailure,
@@ -380,7 +380,7 @@ def explore(
     ltl_props: Optional[Mapping[str, Prop]] = None,
     faults: Sequence[Union[Fault, FaultScenario]] = (),
     library: Optional[ModelLibrary] = None,
-    cache: Optional[CacheBackend] = None,
+    cache: Optional[SqliteResultCache] = None,
     jobs: int = 1,
     max_states: Optional[int] = None,
     max_seconds: Optional[float] = None,
@@ -405,12 +405,10 @@ def explore(
 
     ``policy=FIRST_PASS`` stops after the first PASS in submission
     order; variants that never ran are reported as ``SKIPPED``.  Fresh
-    verdicts are written back to ``cache`` (any
-    :class:`~repro.design.backend.CacheBackend` — the JSONL journal or
-    the concurrent SQLite store from
-    :func:`~repro.design.backend.open_cache`) and journaled as they
-    finalize; the cache is flushed and closed before returning (both
-    backends transparently reopen if used again).  The JIT keeps its
+    verdicts are written back to ``cache`` (the SQLite store from
+    :func:`~repro.design.sqlcache.open_cache`) and journaled as they
+    finalize; the cache is flushed and closed before returning (it
+    transparently reopens if used again).  The JIT keeps its
     compiled programs in the cache's directory too (see
     :func:`~repro.psl.jit.program_store`), so a variant compiles only the
     process programs that no earlier run on this store compiled.
@@ -618,10 +616,9 @@ def explore(
     )
     if cache is not None:
         cache.flush()
-        # Release the append handle / writer lock / connection eagerly;
-        # both backends transparently reopen if the caller keeps using
-        # the instance.  Long-lived processes stop leaking handles and
-        # (JSONL) stop holding the directory's exclusive writer lock.
+        # Release the connection eagerly; the store transparently
+        # reopens if the caller keeps using the instance, and
+        # long-lived processes stop leaking handles.
         cache.close()
     if reporter is not None:
         reporter.emit(exploration_finished(

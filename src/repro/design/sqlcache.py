@@ -1,11 +1,18 @@
-"""SQLite/WAL backend for the verdict store: many processes, one corpus.
+"""The verdict store: one SQLite/WAL database, many processes.
 
-The JSONL journal (:mod:`repro.design.cache`) is strictly
-single-writer; this backend is the multi-process counterpart the
-verification-as-a-service roadmap needs — parametric system families
-enumerate thousands of variants, and many workers and many runs must
-share one verdict corpus safely.  One ``cache.sqlite`` file in the
-cache directory, in **WAL mode**, holds one row per fingerprint:
+The paper's reuse claim — block and component models carry over
+unchanged across design iterations — made incremental *across runs*:
+a verification verdict is stored under the fingerprint of the job that
+produced it (:mod:`repro.design.fingerprint`), so re-running an
+exploration after editing one connector re-verifies only the variants
+whose fingerprints changed.  Invalidation is purely content-driven: a
+fingerprint changes when (and only when) the job content changes, and
+old records simply stop being referenced.
+
+Parametric system families enumerate thousands of variants, and many
+workers, many runs and the verification service share one verdict
+corpus.  One ``cache.sqlite`` file in the cache directory, in **WAL
+mode**, holds one row per fingerprint (:func:`open_cache` opens it):
 
 * **Concurrency** — WAL gives single-writer/many-reader semantics with
   readers never blocked; writer contention surfaces as SQLite
@@ -14,17 +21,16 @@ cache directory, in **WAL mode**, holds one row per fingerprint:
   discipline as job supervision (a
   :class:`~repro.design.supervise.RetryPolicy` with
   ``retry_on={CAUSE_DB_LOCKED}``).
-* **Durability** — ``durable=True`` runs ``PRAGMA synchronous=FULL``:
-  a committed ``put`` survives process kills and power loss, matching
-  the JSONL backend's per-append fsync.  A writer killed
+* **Durability** — ``PRAGMA synchronous=FULL``: a committed ``put``
+  survives process kills and power loss.  A writer killed
   mid-transaction (the ``cache.put`` failpoint sits between the INSERT
   and the COMMIT) rolls back on the next open — an unacknowledged
   record simply never existed.
 * **Integrity** — every row carries the CRC-32 of its record's
   canonical JSON (:func:`~repro.design.journal.entry_crc`, the same
-  checksum the JSONL journal stamps, so migration preserves CRCs).  A
-  row whose payload no longer matches its checksum is a miss, never a
-  wrong verdict.
+  checksum the old JSONL journal stamped on its lines, so migration
+  preserves CRCs).  A row whose payload no longer matches its checksum
+  is a miss, never a wrong verdict.
 * **Corruption recovery** — a database that fails ``PRAGMA
   quick_check`` on open (or starts raising ``DatabaseError`` mid-read)
   is **quarantined**: renamed to ``cache.sqlite.quarantined-<ts>``
@@ -39,9 +45,11 @@ Maintenance: :meth:`SqliteResultCache.verify` (full
 ``integrity_check`` + per-row CRC audit), :meth:`~SqliteResultCache.fsck`
 (delete CRC-mismatched rows, or quarantine an unreadable database),
 :meth:`~SqliteResultCache.compact` (checkpoint + VACUUM), and
-:func:`migrate_jsonl_to_sqlite` (convert a JSONL cache directory in
-place, verdict-equivalently, retiring the old journal as
-``*.migrated``).  All are exposed under ``repro cache``.
+:func:`migrate_jsonl_to_sqlite` (import the ``results.jsonl`` journal
+that directories written before this store existed hold,
+verdict-equivalently, retiring it as ``*.migrated``).  All are exposed
+under ``repro cache``.  Until it is migrated, :func:`open_cache`
+refuses a directory that holds such a journal and no store.
 """
 
 from __future__ import annotations
@@ -54,23 +62,30 @@ import warnings as _warnings
 from typing import Any, Dict, Iterator, Optional, Tuple
 
 from . import failpoints
-from .cache import CACHE_SCHEMA, ResultCache
-from .journal import entry_crc
+from .journal import entry_crc, verify_entry
 from .supervise import RetryPolicy
 
 __all__ = [
+    "CACHE_SCHEMA",
     "CAUSE_DB_LOCKED",
     "SQLITE_CONTAINER_SCHEMA",
     "CacheCorruptionWarning",
     "SqliteResultCache",
     "migrate_jsonl_to_sqlite",
+    "open_cache",
+    "unmigrated_journal",
 ]
 
-#: Container schema marker (the *records* keep ``CACHE_SCHEMA``, so the
-#: two backends store verdict-identical payloads).
+#: Schema stamped on every verdict record.
+CACHE_SCHEMA = "repro.design-cache/1"
+
+#: Container schema marker (the *records* keep ``CACHE_SCHEMA``, the
+#: schema the JSONL journal's lines carry too).
 SQLITE_CONTAINER_SCHEMA = "repro.design-cache-sqlite/1"
 
 _DB_NAME = "cache.sqlite"
+_JSONL_RESULTS = "results.jsonl"
+_JSONL_INDEX = "index.json"
 
 #: Retry classification for SQLite writer contention, alongside the
 #: worker-supervision causes in :mod:`repro.design.supervise`.
@@ -100,20 +115,15 @@ def _canonical(record: Dict[str, Any]) -> str:
 class SqliteResultCache:
     """A concurrent-safe verdict store on one SQLite/WAL database.
 
-    API-compatible with :class:`~repro.design.cache.ResultCache` (the
-    :class:`~repro.design.backend.CacheBackend` protocol): ``get`` /
-    ``put`` / ``stats`` / ``verify`` / ``compact`` / ``fsck`` /
-    ``close``, context-manager support, and hit/miss/store counters.
-    Safe to open from many processes at once.
+    ``get`` / ``put`` / ``stats`` / ``verify`` / ``compact`` /
+    ``fsck`` / ``close``, context-manager support, and hit/miss/store
+    counters.  Safe to open from many processes at once.
     """
 
-    def __init__(self, directory: str, *, durable: bool = True,
-                 max_bytes: Optional[int] = None,
-                 retry: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, directory: str, *,
+                 max_bytes: Optional[int] = None) -> None:
         self.directory = str(directory)
-        self.durable = durable
         self.max_bytes = max_bytes
-        self.retry = retry if retry is not None else DEFAULT_DB_RETRY
         self.hits = 0
         self.misses = 0
         self.stored = 0
@@ -140,8 +150,7 @@ class SqliteResultCache:
             # internal wait short so backoff timing stays ours.
             conn.execute("PRAGMA busy_timeout = 100")
             conn.execute("PRAGMA journal_mode = WAL")
-            conn.execute("PRAGMA synchronous = %s"
-                         % ("FULL" if self.durable else "OFF"))
+            conn.execute("PRAGMA synchronous = FULL")
             check = conn.execute("PRAGMA quick_check").fetchone()
             if check is None or check[0] != "ok":
                 raise sqlite3.DatabaseError(
@@ -188,10 +197,9 @@ class SqliteResultCache:
     def _ensure(self) -> sqlite3.Connection:
         """The live connection, transparently reopening after close().
 
-        Mirrors the JSONL backend's contract: ``close()`` releases
-        resources, and the next use re-establishes them — so callers
-        (``explore()``, the CLI) can close eagerly without wondering
-        whether the instance will be touched again.
+        ``close()`` releases resources, and the next use re-establishes
+        them — so callers (``explore()``, the CLI) can close eagerly
+        without wondering whether the instance will be touched again.
         """
         if self._conn is None:
             self._open()
@@ -236,10 +244,10 @@ class SqliteResultCache:
                 return fn()
             except sqlite3.OperationalError as exc:
                 if (not _is_locked_error(exc)
-                        or not self.retry.should_retry(CAUSE_DB_LOCKED,
-                                                       attempts)):
+                        or not DEFAULT_DB_RETRY.should_retry(CAUSE_DB_LOCKED,
+                                                             attempts)):
                     raise
-                time.sleep(self.retry.backoff(attempts, seed=seed))
+                time.sleep(DEFAULT_DB_RETRY.backoff(attempts, seed=seed))
 
     # -- the store ----------------------------------------------------------
 
@@ -348,8 +356,8 @@ class SqliteResultCache:
         the CRC-32 of the stamped record's canonical JSON.  The write
         is one ``BEGIN IMMEDIATE`` transaction, retried with jittered
         backoff while another process holds the write lock; when this
-        returns, the record is committed (and, with ``durable=True``,
-        synced).  A crash mid-transaction (the ``cache.put`` failpoint)
+        returns, the record is committed and synced.  A crash
+        mid-transaction (the ``cache.put`` failpoint)
         rolls back — never a torn row.
         """
         stamped = dict(record)
@@ -512,8 +520,8 @@ class SqliteResultCache:
         """Checkpoint the WAL and VACUUM; returns row/byte counts.
 
         Rows are already one-per-fingerprint (the primary key), so
-        unlike the JSONL journal there are no superseded lines to drop
-        — compaction reclaims WAL and free-page space.
+        there are no superseded records to drop — compaction reclaims
+        WAL and free-page space.
         """
         self._ensure()
         before_rows = len(self)
@@ -592,8 +600,6 @@ class SqliteResultCache:
             "results_bytes": self._size_bytes(),
             "evicted": self.evicted,
             "corrupt_records": self.corrupt_records,
-            "skipped_lines": 0,
-            "legacy_lines": 0,
         }
 
     def __repr__(self) -> str:
@@ -601,40 +607,106 @@ class SqliteResultCache:
                 f"records, {self.hits} hits / {self.misses} misses)")
 
 
-def migrate_jsonl_to_sqlite(directory: str, *,
-                            durable: bool = True) -> Dict[str, Any]:
-    """Convert a JSONL cache directory to the SQLite backend, in place.
+def unmigrated_journal(directory: str) -> Optional[str]:
+    """Why ``directory`` may not be opened as a store yet, or None.
 
-    Loads every live record from ``results.jsonl`` (corrupt and foreign
-    lines are skipped, exactly as a lookup would skip them), writes
-    each into a new ``cache.sqlite`` in the same directory, then
-    **verifies** the conversion record-by-record before retiring the
-    old journal and index as ``*.migrated`` (kept as a backup, and so
-    backend auto-detection picks SQLite from now on).  Records are
-    byte-identical minus the JSONL ``crc`` field, which moves to the
-    row's checksum column with the same CRC-32 value — verdicts,
-    fingerprints, and evidence all carry over unchanged.
-
-    Returns a summary dict; raises ``RuntimeError`` (leaving the JSONL
-    journal untouched) if any migrated record reads back differently.
+    A directory that holds a ``results.jsonl`` journal (the verdict
+    store before this one) and no ``cache.sqlite`` must be migrated
+    first: a store opened beside the journal would leave its verdicts
+    unread.  The common case, no journal, costs one ``stat``.
     """
-    source = ResultCache(directory, durable=False)
-    try:
-        records = {fp: dict(record) for fp, record in source.items()}
-        skipped = source.stats()["skipped_lines"]
-        corrupt = source.stats()["corrupt_lines"]
-    finally:
-        source.close()
+    directory = str(directory)
+    if (not os.path.exists(os.path.join(directory, _JSONL_RESULTS))
+            or os.path.exists(os.path.join(directory, _DB_NAME))):
+        return None
+    return (f"{directory!r} holds a {_JSONL_RESULTS} journal and no "
+            f"{_DB_NAME} store; run 'repro cache migrate --cache-dir "
+            f"{directory}' to import its verdicts first")
 
-    with SqliteResultCache(directory, durable=durable) as target:
+
+def open_cache(directory: str, *, backend: str = "sqlite",
+               max_bytes: Optional[int] = None) -> SqliteResultCache:
+    """Open (creating when absent) the verdict store in ``directory``.
+
+    ``backend`` names the store and accepts only ``"sqlite"``.
+    ``max_bytes`` caps the store (LRU eviction).  A directory with an
+    unmigrated JSONL journal (:func:`unmigrated_journal`) is refused
+    with a ``RuntimeError`` before anything is created in it.
+    """
+    if backend != "sqlite":
+        raise ValueError(f"unknown cache backend {backend!r} "
+                         "(the verdict store is 'sqlite')")
+    refusal = unmigrated_journal(directory)
+    if refusal is not None:
+        raise RuntimeError(refusal)
+    return SqliteResultCache(directory, max_bytes=max_bytes)
+
+
+def _read_journal(path: str) -> Tuple[Dict[str, Dict[str, Any]], int, int]:
+    """The records of a ``results.jsonl`` journal, and what it skipped.
+
+    Each non-blank line is *live* (a record whose CRC-32 ``crc`` field
+    matches), *legacy* (a record from before checksums, with no
+    ``crc``), *skipped* (well-formed but foreign: not an object,
+    another schema, or no fingerprint) or *corrupt* (unparseable, or a
+    failed checksum: a torn tail, bit rot).  Live and legacy records
+    are kept, the last one per fingerprint winning, without their
+    ``crc``.  Returns ``(records, skipped, corrupt)``.
+    """
+    records: Dict[str, Dict[str, Any]] = {}
+    skipped = corrupt = 0
+    # errors="replace": undecodable bytes become U+FFFD, so the line
+    # fails to parse or to checksum and is counted corrupt.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                corrupt += 1
+                continue
+            if (not isinstance(record, dict)
+                    or record.get("schema") != CACHE_SCHEMA
+                    or not isinstance(record.get("fingerprint"), str)):
+                skipped += 1
+            elif "crc" in record and not verify_entry(record):
+                corrupt += 1
+            else:
+                record.pop("crc", None)
+                records[record["fingerprint"]] = record
+    return records, skipped, corrupt
+
+
+def migrate_jsonl_to_sqlite(directory: str) -> Optional[Dict[str, Any]]:
+    """Import a directory's ``results.jsonl`` journal into its store.
+
+    Reads every live and legacy record from the journal (corrupt and
+    foreign lines are counted and left behind, as a lookup skipped
+    them), writes each into ``cache.sqlite`` in the same directory —
+    created when absent, merged into when present, since ``put``
+    upserts by fingerprint — then **verifies** every migrated record
+    by reading it back before retiring the journal and its
+    ``index.json`` snapshot as ``*.migrated`` (kept as a backup).
+    Records are byte-identical minus the journal's ``crc`` field, which
+    moves to the row's checksum column with the same CRC-32 value —
+    verdicts, fingerprints, and evidence all carry over unchanged.
+
+    Returns a summary dict, or None when the directory holds no
+    journal; raises ``RuntimeError`` (leaving the journal in place) if
+    any migrated record reads back differently.
+    """
+    journal = os.path.join(str(directory), _JSONL_RESULTS)
+    if not os.path.exists(journal):
+        return None
+    records, skipped, corrupt = _read_journal(journal)
+
+    with SqliteResultCache(directory) as target:
         for fingerprint, record in sorted(records.items()):
-            body = {k: v for k, v in record.items() if k != "crc"}
-            target.put(fingerprint, body)
-        mismatches = []
-        for fingerprint, record in records.items():
-            want = {k: v for k, v in record.items() if k != "crc"}
-            if target.get(fingerprint) != want:
-                mismatches.append(fingerprint)
+            target.put(fingerprint, record)
+        mismatches = [fingerprint for fingerprint, record in records.items()
+                      if target.get(fingerprint) != record]
         if mismatches:
             raise RuntimeError(
                 f"migration verification failed for {len(mismatches)} of "
@@ -655,7 +727,3 @@ def migrate_jsonl_to_sqlite(directory: str, *,
         "corrupt_lines": corrupt,
         "retired": retired,
     }
-
-
-_JSONL_RESULTS = "results.jsonl"
-_JSONL_INDEX = "index.json"

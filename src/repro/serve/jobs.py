@@ -320,7 +320,7 @@ def _explore_record(spec: Dict[str, Any], built: "BuiltJob", space, kwargs,
     if cache_dir is not None:
         # The service's shared store: variant verdicts land in the same
         # sqlite/WAL cache the daemon answers warm submissions from.
-        cache = open_cache(cache_dir, backend="sqlite")
+        cache = open_cache(cache_dir)
     t0 = time.perf_counter()
     report = explore(
         space,

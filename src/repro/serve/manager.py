@@ -4,7 +4,7 @@
 tests without sockets.  It owns:
 
 * **the shared verdict store** — the sqlite/WAL
-  :class:`~repro.design.backend.CacheBackend` every computed record
+  :class:`~repro.design.sqlcache.SqliteResultCache` every computed record
   lands in, keyed by the job's ``repro.serve-job/1`` fingerprint.  A
   submission whose fingerprint is already stored is answered
   immediately (*warm hit*).  sqlite connections are bound to their
@@ -62,7 +62,7 @@ from collections import OrderedDict
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..design import failpoints
-from ..design.backend import detect_backend, open_cache
+from ..design.sqlcache import open_cache, unmigrated_journal
 from ..design.supervise import CAUSE_EXCEPTION, RetryPolicy, SupervisedPool
 from ..obs import events as obs_events
 from ..obs.reporters import DEFAULT_INTERVAL, JsonlReporter
@@ -85,7 +85,7 @@ STATUS_DONE = "done"
 STATUS_FAILED = "failed"
 TERMINAL_STATUSES = frozenset({STATUS_DONE, STATUS_FAILED})
 
-#: Keys the cache backend stamps onto stored records; stripped before a
+#: Keys the verdict store stamps onto stored records; stripped before a
 #: cached record is served so warm and computed responses are identical.
 _CACHE_STAMPS = ("schema", "fingerprint", "crc")
 
@@ -120,7 +120,7 @@ _PRELOAD_WARNING = (
 
 
 class ServeError(RuntimeError):
-    """The service cannot run as configured (bad cache backend, ...)."""
+    """The service cannot run as configured (an unmigrated cache, ...)."""
 
 
 class DrainingError(ServeError):
@@ -193,12 +193,12 @@ class _Job:
 class JobManager:
     """Schedules service jobs over a shared verdict store.
 
-    ``cache_dir`` must hold (or be fresh enough to get) the sqlite/WAL
-    backend — the only one safe under the daemon's many threads and
-    sandbox processes; a JSONL cache directory is refused with a
-    pointer at ``repro cache migrate``.  Service state (job journal +
-    event streams) lives under ``<cache_dir>/serve`` unless
-    ``state_dir`` says otherwise.
+    ``cache_dir`` holds the sqlite/WAL verdict store (created when
+    absent).  A directory with an unmigrated JSONL journal is refused
+    with a pointer at ``repro cache migrate``, by the rule
+    :func:`~repro.design.sqlcache.open_cache` applies.  Service state
+    (job journal + event streams) lives under ``<cache_dir>/serve``
+    unless ``state_dir`` says otherwise.
     """
 
     def __init__(self, cache_dir: str, *, state_dir: Optional[str] = None,
@@ -207,14 +207,10 @@ class JobManager:
                  job_timeout: Optional[float] = None,
                  interval: int = DEFAULT_INTERVAL) -> None:
         self._cache_dir = str(cache_dir)
+        refusal = unmigrated_journal(self._cache_dir)
+        if refusal is not None:
+            raise ServeError(refusal)
         os.makedirs(self._cache_dir, exist_ok=True)
-        backend = detect_backend(self._cache_dir)
-        if backend != "sqlite":
-            raise ServeError(
-                f"the verification service requires the sqlite cache "
-                f"backend, but {self._cache_dir!r} holds a {backend} cache "
-                f"(single-writer); run 'repro cache migrate "
-                f"--cache-dir {self._cache_dir}' first")
         self.state_dir = state_dir or os.path.join(self._cache_dir, "serve")
         self._jobs_dir = os.path.join(self.state_dir, "jobs")
         os.makedirs(self._jobs_dir, exist_ok=True)
@@ -256,7 +252,7 @@ class JobManager:
         """This thread's handle on the shared sqlite/WAL store."""
         cache = getattr(self._tls, "cache", None)
         if cache is None:
-            cache = open_cache(self._cache_dir, backend="sqlite")
+            cache = open_cache(self._cache_dir)
             self._tls.cache = cache
         return cache
 

@@ -19,11 +19,11 @@ from repro.design import (
     INCOMPLETE,
     ChannelAxis,
     DesignSpace,
-    ResultCache,
     RetryPolicy,
     RunJournal,
     SendPortAxis,
     explore,
+    open_cache,
 )
 from repro.design.failpoints import KILL_EXIT_CODE
 from repro.obs import CollectingReporter
@@ -65,7 +65,7 @@ class TestWorkerKill:
         # Kill the workers running variants 1 and 2, every attempt.
         inject("worker.run=kill@1,2")
         collector = CollectingReporter()
-        report = explore(_space(), cache=ResultCache(tmp_path / "cache"),
+        report = explore(_space(), cache=open_cache(tmp_path / "cache"),
                          jobs=2, retry=FAST_RETRY, reporter=collector)
 
         verdicts = {r["index"]: r["verdict"] for r in report.results}
@@ -95,13 +95,13 @@ class TestWorkerKill:
                                                         inject):
         cache_dir = tmp_path / "cache"
         inject("worker.run=kill@1")
-        broken = explore(_space(), cache=ResultCache(cache_dir), jobs=2,
+        broken = explore(_space(), cache=open_cache(cache_dir), jobs=2,
                          retry=FAST_RETRY)
         assert broken.results[1]["verdict"] == INCOMPLETE
 
         # Fault cleared: the INCOMPLETE variant was never cached, so a
         # fresh run re-verifies it (and only it) to a real verdict.
-        cache = ResultCache(cache_dir)
+        cache = open_cache(cache_dir)
         healed = explore(_space(), cache=cache, jobs=2)
         assert healed.results[1]["verdict"] == "PASS"
         assert cache.hits == 3 and cache.misses == 1
@@ -159,19 +159,11 @@ class TestTimeout:
 
 _CRASH_SCRIPT = """
 import sys
-from repro.design import ResultCache
-cache = ResultCache(sys.argv[1])
+from repro.design import open_cache
+cache = open_cache(sys.argv[1])
 cache.put("a" * 64, {"verdict": "PASS", "states": 10})
 cache.put("b" * 64, {"verdict": "FAIL", "states": 20})
 cache.put("c" * 64, {"verdict": "PASS", "states": 30})  # killed here
-"""
-
-_FLUSH_CRASH_SCRIPT = """
-import sys
-from repro.design import ResultCache
-cache = ResultCache(sys.argv[1])
-cache.put("a" * 64, {"verdict": "PASS", "states": 10})
-cache.flush()  # killed at the index-write failpoint
 """
 
 
@@ -188,22 +180,12 @@ class TestCacheCrash:
                          "cache.put=kill@" + "c" * 64)
         assert proc.returncode == KILL_EXIT_CODE, proc.stderr
 
-        cache = ResultCache(tmp_path)  # reopens cleanly, rebuilds index
-        assert cache.get("a" * 64)["verdict"] == "PASS"
-        assert cache.get("b" * 64)["verdict"] == "FAIL"
-        assert cache.get("c" * 64) is None  # at most the in-flight record
-        assert cache.verify()["ok"]
-
-    def test_crash_between_journal_append_and_index_write(self, tmp_path):
-        proc = self._run(_FLUSH_CRASH_SCRIPT, tmp_path, "cache.index=kill")
-        assert proc.returncode == KILL_EXIT_CODE, proc.stderr
-        assert not (tmp_path / "index.json").exists()
-
-        # The journal append was durable; reopening rebuilds the index.
-        cache = ResultCache(tmp_path)
-        assert cache.get("a" * 64)["verdict"] == "PASS"
-        assert (tmp_path / "index.json").exists()
-        assert cache.verify()["ok"]
+        # The killed transaction rolls back on the next open.
+        with open_cache(tmp_path) as cache:
+            assert cache.get("a" * 64)["verdict"] == "PASS"
+            assert cache.get("b" * 64)["verdict"] == "FAIL"
+            assert cache.get("c" * 64) is None  # at most the in-flight record
+            assert cache.verify()["ok"]
 
 
 class TestSerialInterrupt:
@@ -226,7 +208,7 @@ class TestSerialInterrupt:
             def close(self):
                 pass
 
-        cache = ResultCache(tmp_path / "cache")
+        cache = open_cache(tmp_path / "cache")
         report = explore(_space(), cache=cache, jobs=1,
                          reporter=InterruptAfter(2))
         assert report.interrupted

@@ -1,8 +1,7 @@
 """Multi-process hammer: many writers, readers, and a compactor on one
 cache directory, with and without ``kill -9`` mid-write.
 
-The robustness bar for the shared verdict store, asserted for **both**
-backends:
+The robustness bar for the shared SQLite/WAL verdict store:
 
 * zero lost acknowledged verdicts — a ``put`` that returned (proven by
   an fsynced ack file) is served by every later reader, through any
@@ -11,10 +10,8 @@ backends:
   was stored for its fingerprint, never a torn or foreign one;
 * the store audits clean afterwards (``repro cache verify`` exits 0).
 
-The JSONL backend serializes writers through the advisory lock (each
-writer opens, puts, closes, retrying on ``CacheLockedError``); the
-SQLite backend takes genuinely concurrent writers.  The kill case uses
-the ``cache.put`` failpoint, which for SQLite sits *inside* the write
+Writers run genuinely concurrently, one connection each.  The kill
+case uses the ``cache.put`` failpoint, which sits *inside* the write
 transaction (after the INSERT, before the COMMIT) — a crash there must
 roll back, never tear.
 """
@@ -23,8 +20,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 from repro.design import open_cache
 from repro.design.failpoints import KILL_EXIT_CODE
@@ -39,9 +34,9 @@ VICTIM_RECORDS = 20
 VICTIM_KILL_AT = 10
 
 _WRITER = """
-import os, sys, time
-from repro.design import open_cache, CacheLockedError
-cache_dir, backend, wid, n, ack_dir = sys.argv[1:6]
+import os, sys
+from repro.design import open_cache
+cache_dir, wid, n, ack_dir = sys.argv[1:5]
 
 
 def fp_for(wid, i):
@@ -61,25 +56,10 @@ def put_one(cache, fp):
                    "worker": int(wid)})
 
 
-if backend == "sqlite":
-    # Concurrent-safe: one connection for the whole run.
-    with open_cache(cache_dir, backend=backend) as cache:
-        for i in range(int(n)):
-            fp = fp_for(wid, i)
-            put_one(cache, fp)
-            ack(fp)
-else:
-    # Single-writer journal: take and release the lock per record,
-    # retrying while a sibling holds it.
+with open_cache(cache_dir) as cache:
     for i in range(int(n)):
         fp = fp_for(wid, i)
-        while True:
-            try:
-                with open_cache(cache_dir, backend=backend) as cache:
-                    put_one(cache, fp)
-                break
-            except CacheLockedError:
-                time.sleep(0.002)
+        put_one(cache, fp)
         ack(fp)
 print("writer-done", wid)
 """
@@ -87,10 +67,10 @@ print("writer-done", wid)
 _READER = """
 import os, sys, time
 from repro.design import open_cache
-cache_dir, backend, ack_dir, rounds = sys.argv[1:5]
+cache_dir, ack_dir, rounds = sys.argv[1:4]
 for _ in range(int(rounds)):
     acked = os.listdir(ack_dir)  # acks are fsynced *after* put returns
-    with open_cache(cache_dir, backend=backend) as cache:
+    with open_cache(cache_dir) as cache:
         for fp in acked:
             record = cache.get(fp)
             if record is None:
@@ -105,14 +85,12 @@ print("reader-ok")
 
 _COMPACTOR = """
 import sqlite3, sys, time
-from repro.design import open_cache, CacheLockedError
-cache_dir, backend, rounds = sys.argv[1:4]
+from repro.design import open_cache
+cache_dir, rounds = sys.argv[1:3]
 for _ in range(int(rounds)):
     try:
-        with open_cache(cache_dir, backend=backend) as cache:
+        with open_cache(cache_dir) as cache:
             cache.compact()
-    except CacheLockedError:
-        pass  # a writer holds the journal; try again next round
     except sqlite3.OperationalError:
         pass  # sustained writer pressure; vacuum next round
     time.sleep(0.02)
@@ -135,9 +113,8 @@ def _finish(proc, what, timeout=120):
     return proc.returncode, f"{what}: rc={proc.returncode}\n{out}\n{err}"
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite"])
 class TestHammer:
-    def _hammer(self, tmp_path, backend, *, with_kill):
+    def _hammer(self, tmp_path, *, with_kill):
         cache_dir = tmp_path / "cache"
         ack_dir = tmp_path / "acks"
         os.makedirs(cache_dir)
@@ -146,22 +123,22 @@ class TestHammer:
         procs = []
         for wid in range(N_WRITERS):
             procs.append(("writer", _spawn(
-                _WRITER, [cache_dir, backend, wid, M_RECORDS, ack_dir])))
+                _WRITER, [cache_dir, wid, M_RECORDS, ack_dir])))
         for _ in range(N_READERS):
             procs.append(("reader", _spawn(
-                _READER, [cache_dir, backend, ack_dir, 25])))
+                _READER, [cache_dir, ack_dir, 25])))
         procs.append(("compactor", _spawn(
-            _COMPACTOR, [cache_dir, backend, 10])))
+            _COMPACTOR, [cache_dir, 10])))
 
         victim_fp = None
         if with_kill:
-            # One more writer, killed mid-put (for SQLite: inside the
-            # transaction, after the INSERT and before the COMMIT).
+            # One more writer, killed mid-put: inside the transaction,
+            # after the INSERT and before the COMMIT.
             victim_id = N_WRITERS
             victim_fp = ("%02d" % victim_id) + ("%062d" % VICTIM_KILL_AT)
             victim = _spawn(
                 _WRITER,
-                [cache_dir, backend, victim_id, VICTIM_RECORDS, ack_dir],
+                [cache_dir, victim_id, VICTIM_RECORDS, ack_dir],
                 failpoints_spec=f"cache.put=kill@{victim_fp}")
             rc, detail = _finish(victim, "victim")
             assert rc == KILL_EXIT_CODE, detail
@@ -173,7 +150,7 @@ class TestHammer:
         if with_kill:
             # The killed writer's run is simply rerun; the store must
             # absorb it cleanly after the crash.
-            rerun = _spawn(_WRITER, [cache_dir, backend, N_WRITERS,
+            rerun = _spawn(_WRITER, [cache_dir, N_WRITERS,
                                      VICTIM_RECORDS, ack_dir])
             rc, detail = _finish(rerun, "victim-rerun")
             assert rc == 0, detail
@@ -184,7 +161,7 @@ class TestHammer:
         expected = N_WRITERS * M_RECORDS + (VICTIM_RECORDS if with_kill
                                             else 0)
         assert len(acked) == expected
-        with open_cache(cache_dir, backend=backend) as cache:
+        with open_cache(cache_dir) as cache:
             for fp in acked:
                 record = cache.get(fp)
                 assert record is not None, f"lost acknowledged {fp}"
@@ -200,8 +177,8 @@ class TestHammer:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_concurrent_hammer(self, tmp_path, backend):
-        self._hammer(tmp_path, backend, with_kill=False)
+    def test_concurrent_hammer(self, tmp_path):
+        self._hammer(tmp_path, with_kill=False)
 
-    def test_concurrent_hammer_with_mid_write_kills(self, tmp_path, backend):
-        self._hammer(tmp_path, backend, with_kill=True)
+    def test_concurrent_hammer_with_mid_write_kills(self, tmp_path):
+        self._hammer(tmp_path, with_kill=True)

@@ -19,10 +19,10 @@ from repro.core import (
 from repro.design import (
     ChannelAxis,
     DesignSpace,
-    ResultCache,
     RunJournal,
     SendPortAxis,
     explore,
+    open_cache,
 )
 from repro.systems.producer_consumer import simple_pair
 
@@ -73,12 +73,12 @@ class InterruptAfter:
 class TestResume:
     def test_resume_runs_only_the_remaining_jobs(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        partial = explore(_space(), cache=ResultCache(cache_dir), jobs=1,
+        partial = explore(_space(), cache=open_cache(cache_dir), jobs=1,
                           reporter=InterruptAfter(2))
         assert partial.interrupted
         run_id = partial.run_id
 
-        cache = ResultCache(cache_dir)
+        cache = open_cache(cache_dir)
         resumed = explore(_space(), cache=cache, resume=run_id)
         assert not resumed.interrupted
         assert resumed.complete
@@ -91,7 +91,7 @@ class TestResume:
         assert cache.misses == 2
 
         # The resumed report equals an uninterrupted run's.
-        baseline = explore(_space(), cache=ResultCache(tmp_path / "b"))
+        baseline = explore(_space(), cache=open_cache(tmp_path / "b"))
         assert ([_strip_volatile(r) for r in resumed.results]
                 == [_strip_volatile(r) for r in baseline.results])
         assert ([r["variant"] for r in resumed.ranked]
@@ -105,10 +105,10 @@ class TestResume:
 
     def test_resume_of_a_finished_run_reverifies_nothing(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        first = explore(_space(), cache=ResultCache(cache_dir))
+        first = explore(_space(), cache=open_cache(cache_dir))
         assert first.complete
 
-        cache = ResultCache(cache_dir)
+        cache = open_cache(cache_dir)
         again = explore(_space(), cache=cache, resume=first.run_id)
         assert again.complete
         assert all(r.get("resumed") for r in again.results)
@@ -118,9 +118,9 @@ class TestResume:
 
     def test_resume_unknown_run_id_raises_with_known_runs(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        report = explore(_space(), cache=ResultCache(cache_dir))
+        report = explore(_space(), cache=open_cache(cache_dir))
         with pytest.raises(FileNotFoundError, match=report.run_id):
-            explore(_space(), cache=ResultCache(cache_dir),
+            explore(_space(), cache=open_cache(cache_dir),
                     resume="no-such-run")
 
     def test_resume_without_journal_dir_is_an_error(self):
@@ -129,7 +129,7 @@ class TestResume:
 
     def test_explicit_run_id_names_the_journal(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        report = explore(_space(), cache=ResultCache(cache_dir),
+        report = explore(_space(), cache=open_cache(cache_dir),
                          run_id="nightly-7")
         assert report.run_id == "nightly-7"
         state = RunJournal.load(str(cache_dir / "runs"), "nightly-7")

@@ -14,9 +14,9 @@ from repro.core import (
 from repro.design import (
     ChannelAxis,
     DesignSpace,
-    ResultCache,
     SendPortAxis,
     explore,
+    open_cache,
 )
 from repro.mc.budget import BUDGET_INTERRUPT, Budget
 from repro.obs import CollectingReporter
@@ -81,10 +81,10 @@ class TestBudgetMidSweep:
     def test_budget_partial_runs_are_not_poisoned_by_cache(self, tmp_path):
         # UNKNOWN verdicts are cached (same budget -> same fingerprint),
         # but raising the budget changes the fingerprint and re-runs.
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         tight = explore(_space(), cache=cache, max_states=10)
         assert all(r["verdict"] == "UNKNOWN" for r in tight.results)
-        roomy = explore(_space(), cache=ResultCache(tmp_path),
+        roomy = explore(_space(), cache=open_cache(tmp_path),
                         max_states=100000)
         assert all(r["verdict"] == "PASS" for r in roomy.results)
 

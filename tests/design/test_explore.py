@@ -18,9 +18,9 @@ from repro.design import (
     FIRST_PASS,
     ChannelAxis,
     DesignSpace,
-    ResultCache,
     SendPortAxis,
     explore,
+    open_cache,
     rank_records,
 )
 from repro.obs import CollectingReporter
@@ -89,11 +89,11 @@ class TestExhaustive:
 
 class TestCache:
     def test_warm_run_serves_everything_from_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         cold = explore(_space(), cache=cache)
         assert cold.cached_count == 0
 
-        warm_cache = ResultCache(tmp_path)
+        warm_cache = open_cache(tmp_path)
         warm = explore(_space(), cache=warm_cache)
         assert warm.cached_count == len(warm.results)
         hit_ratio = warm_cache.stats()["hits"] / len(warm.results)
@@ -114,7 +114,7 @@ class TestCache:
         arch = simple_pair(PORTS[1], CHANNELS[0], messages=1)
         space = DesignSpace("pc", [("a", arch), ("b", arch.copy())],
                             fused=True)
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         report = explore(space, cache=cache)
         assert len(report.results) == 2
         assert report.results[1].get("deduplicated") is True
@@ -200,10 +200,10 @@ class TestEvents:
             r["variant"] for r in report.results]
 
     def test_cached_variants_are_bracketed_too(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         explore(_space(), cache=cache)
         reporter = CollectingReporter()
-        explore(_space(), cache=ResultCache(tmp_path), reporter=reporter)
+        explore(_space(), cache=open_cache(tmp_path), reporter=reporter)
         starts = [e for e in reporter.events if e.type == "variant_started"]
         assert len(starts) == 4
         assert all(e.data["cached"] for e in starts)
@@ -249,7 +249,7 @@ class TestRanking:
 
 class TestTable:
     def test_table_is_deterministic_and_wall_clock_free(self, tmp_path):
-        report = explore(_space(), cache=ResultCache(tmp_path))
+        report = explore(_space(), cache=open_cache(tmp_path))
         table = report.table()
         assert table == report.table()
         assert "seconds" not in table

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.design import JOURNAL_SCHEMA, RunJournal, list_runs
+from repro.design import JOURNAL_SCHEMA, FileLockedError, RunJournal, list_runs
 from repro.design.journal import (
     append_entry,
     entry_crc,
@@ -115,6 +115,14 @@ class TestRunJournal:
         state = RunJournal.load(tmp_path, "r1")
         assert state.corrupt_lines == 1
         assert FP_A in state.completed
+
+    def test_second_writer_on_a_run_id_is_refused(self, tmp_path):
+        with RunJournal(tmp_path, run_id="r1"):
+            with pytest.raises(FileLockedError) as refused:
+                RunJournal(tmp_path, run_id="r1")
+        message = str(refused.value)
+        assert "another exploration holds this run id" in message
+        assert "sqlite" not in message
 
     def test_load_unknown_run_lists_known_runs(self, tmp_path):
         with RunJournal(tmp_path, run_id="exists") as journal:

@@ -1,4 +1,4 @@
-"""The concurrent SQLite/WAL verdict store and the backend factory."""
+"""The SQLite/WAL verdict store, ``open_cache``, and JSONL migration."""
 
 import json
 import sqlite3
@@ -8,17 +8,27 @@ import pytest
 
 from repro.design import (
     CACHE_SCHEMA,
-    CacheBackend,
     CacheCorruptionWarning,
-    ResultCache,
     SqliteResultCache,
-    detect_backend,
     migrate_jsonl_to_sqlite,
     open_cache,
 )
+from repro.design.journal import append_entry
 
 FP_A = "a" * 64
 FP_B = "b" * 64
+FP_C = "c" * 64
+
+
+def write_journal(directory, records=(), raw_lines=()):
+    """Append a ``results.jsonl`` verdict journal to ``directory``:
+    checksummed ``(fingerprint, body)`` records, then raw lines."""
+    with open(directory / "results.jsonl", "a") as fh:
+        for fingerprint, body in records:
+            append_entry(fh, {"schema": CACHE_SCHEMA,
+                              "fingerprint": fingerprint, **body})
+        for line in raw_lines:
+            fh.write(line + "\n")
 
 
 class TestRoundTrip:
@@ -75,11 +85,11 @@ class TestRoundTrip:
             assert [fp for fp, _ in pairs] == [FP_A, FP_B]
             assert cache.hits == 0 and cache.misses == 0
 
-    def test_satisfies_the_backend_protocol(self, tmp_path):
-        with SqliteResultCache(tmp_path) as sql_cache:
-            assert isinstance(sql_cache, CacheBackend)
-        with ResultCache(tmp_path / "j") as jsonl_cache:
-            assert isinstance(jsonl_cache, CacheBackend)
+    def test_missing_directory_is_created(self, tmp_path):
+        nested = tmp_path / "deep" / "cache"
+        with open_cache(nested) as cache:
+            cache.put(FP_A, {"verdict": "PASS"})
+        assert (nested / "cache.sqlite").exists()
 
 
 class TestIntegrity:
@@ -210,45 +220,49 @@ class TestEviction:
 
 class TestBackendFactory:
     def test_fresh_directory_defaults_to_sqlite(self, tmp_path):
-        assert detect_backend(tmp_path) == "sqlite"
         with open_cache(tmp_path) as cache:
             assert cache.stats()["backend"] == "sqlite"
         assert (tmp_path / "cache.sqlite").exists()
 
-    def test_existing_jsonl_directory_stays_jsonl(self, tmp_path):
-        with ResultCache(tmp_path) as seed:
-            seed.put(FP_A, {"verdict": "PASS"})
-        assert detect_backend(tmp_path) == "jsonl"
-        with open_cache(tmp_path) as cache:
-            assert cache.stats()["backend"] == "jsonl"
-            assert cache.get(FP_A)["verdict"] == "PASS"
-
-    def test_explicit_backend_wins(self, tmp_path):
-        with open_cache(tmp_path, backend="jsonl") as cache:
-            assert cache.stats()["backend"] == "jsonl"
+    def test_sqlite_is_the_one_backend_name(self, tmp_path):
+        with open_cache(tmp_path, backend="sqlite") as cache:
+            assert isinstance(cache, SqliteResultCache)
 
     def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            open_cache(tmp_path, backend="dbm")
+        for backend in ("dbm", "jsonl", "auto"):
+            with pytest.raises(ValueError, match="unknown cache backend"):
+                open_cache(tmp_path, backend=backend)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_max_bytes_rejected_on_jsonl(self, tmp_path):
-        with pytest.raises(ValueError, match="sqlite backend"):
-            open_cache(tmp_path, backend="jsonl", max_bytes=1024)
+    def test_unmigrated_journal_is_refused_and_left_alone(self, tmp_path):
+        write_journal(tmp_path, [(FP_A, {"verdict": "PASS"})])
+        journal = (tmp_path / "results.jsonl").read_bytes()
+        with pytest.raises(RuntimeError, match="repro cache migrate"):
+            open_cache(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+        assert (tmp_path / "results.jsonl").read_bytes() == journal
+
+    def test_journal_beside_a_store_does_not_block_the_store(self, tmp_path):
+        with open_cache(tmp_path) as cache:
+            cache.put(FP_A, {"verdict": "PASS"})
+        write_journal(tmp_path, [(FP_B, {"verdict": "FAIL"})])
+        with open_cache(tmp_path) as cache:
+            assert cache.get(FP_A)["verdict"] == "PASS"
 
 
 class TestMigrate:
     def test_round_trip_preserves_every_verdict(self, tmp_path):
         fps = ["%064d" % i for i in range(10)]
-        with ResultCache(tmp_path) as jsonl_cache:
-            for i, fp in enumerate(fps):
-                jsonl_cache.put(fp, {"verdict": "PASS", "states": i})
-            jsonl_cache.put(fps[0], {"verdict": "FAIL"})  # superseded
-            before = {fp: {k: v for k, v in record.items() if k != "crc"}
-                      for fp, record in jsonl_cache.items()}
+        records = [(fp, {"verdict": "PASS", "states": i})
+                   for i, fp in enumerate(fps)]
+        records.append((fps[0], {"verdict": "FAIL"}))  # supersedes
+        write_journal(tmp_path, records)
+        before = {fp: {"schema": CACHE_SCHEMA, "fingerprint": fp, **body}
+                  for fp, body in records}
         summary = migrate_jsonl_to_sqlite(tmp_path)
         assert summary["migrated"] == len(fps)
         assert summary["verified"] == len(fps)
-        assert detect_backend(tmp_path) == "sqlite"
+        assert (tmp_path / "cache.sqlite").exists()
         assert (tmp_path / "results.jsonl.migrated").exists()
         assert not (tmp_path / "results.jsonl").exists()
         with open_cache(tmp_path) as migrated:
@@ -256,11 +270,8 @@ class TestMigrate:
         assert after == before  # identical verdict set, field for field
 
     def test_damaged_lines_are_left_behind_not_migrated(self, tmp_path):
-        with ResultCache(tmp_path) as jsonl_cache:
-            jsonl_cache.put(FP_A, {"verdict": "PASS"})
-        with open(tmp_path / "results.jsonl", "a") as fh:
-            fh.write("{torn line\n")
-            fh.write(json.dumps({"schema": "other/1"}) + "\n")
+        write_journal(tmp_path, [(FP_A, {"verdict": "PASS"})],
+                      ["{torn line", json.dumps({"schema": "other/1"})])
         summary = migrate_jsonl_to_sqlite(tmp_path)
         assert summary["migrated"] == 1
         assert summary["corrupt_lines"] == 1
@@ -268,6 +279,34 @@ class TestMigrate:
         with open_cache(tmp_path) as migrated:
             assert migrated.get(FP_A)["verdict"] == "PASS"
             assert migrated.verify()["ok"]
+
+    def test_every_line_class_is_counted_and_legacy_lines_migrate(
+            self, tmp_path):
+        # One of each line class: live, superseded, legacy (no crc),
+        # foreign schema, no fingerprint, unparseable, failed checksum.
+        write_journal(tmp_path, [(FP_A, {"verdict": "UNKNOWN"}),
+                                 (FP_A, {"verdict": "PASS"})], [
+            json.dumps({"schema": CACHE_SCHEMA, "fingerprint": FP_B,
+                        "verdict": "PASS"}),
+            json.dumps({"schema": "other/1", "fingerprint": FP_C}),
+            json.dumps({"schema": CACHE_SCHEMA}),
+            "{not json",
+            json.dumps({"schema": CACHE_SCHEMA, "fingerprint": FP_C,
+                        "crc": 1, "verdict": "FAIL"}),
+        ])
+        summary = migrate_jsonl_to_sqlite(tmp_path)
+        assert summary["migrated"] == summary["verified"] == 2
+        assert summary["corrupt_lines"] == 2
+        assert summary["skipped_lines"] == 2
+        with open_cache(tmp_path) as migrated:
+            assert migrated.get(FP_A)["verdict"] == "PASS"
+            assert migrated.get(FP_B)["verdict"] == "PASS"  # legacy
+            assert migrated.get(FP_C) is None
+            assert migrated.verify()["ok"]  # the legacy row got its crc
+
+    def test_directory_without_a_journal_is_left_alone(self, tmp_path):
+        assert migrate_jsonl_to_sqlite(tmp_path) is None
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExploreOnSqlite:

@@ -288,15 +288,39 @@ class TestCacheCommand:
         assert "corrupt records: 0" in out
         assert out.rstrip().endswith("ok")
 
-    def test_verify_damaged_jsonl_cache_exits_3(self, tmp_path, capsys):
-        cache_dir = self._populate(tmp_path, "--backend", "jsonl")
-        journal = cache_dir / "results.jsonl"
-        damaged = journal.read_text().splitlines()
-        damaged[0] = damaged[0].replace('"verdict"', '"verdikt"', 1)
-        journal.write_text("\n".join(damaged) + "\n")
-        capsys.readouterr()
-        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 3
-        assert "NOT OK" in capsys.readouterr().out
+    def _journal(self, cache_dir, *fingerprints):
+        from repro.design import CACHE_SCHEMA
+        from repro.design.journal import append_entry
+
+        cache_dir.mkdir(exist_ok=True)
+        with open(cache_dir / "results.jsonl", "a") as fh:
+            for fp in fingerprints:
+                append_entry(fh, {"schema": CACHE_SCHEMA, "fingerprint": fp,
+                                  "verdict": "PASS"})
+
+    def test_unmigrated_journal_exits_3_naming_migrate(self, tmp_path,
+                                                        capsys):
+        cache_dir = tmp_path / "cache"
+        self._journal(cache_dir, "a" * 64)
+        for argv in (["explore", "pc", "--messages", "1"], ["cache", "info"]):
+            assert main([*argv, "--cache-dir", str(cache_dir)]) == 3
+            assert "repro cache migrate" in capsys.readouterr().err
+        assert [p.name for p in cache_dir.iterdir()] == ["results.jsonl"]
+
+    def test_migrate_merges_a_journal_left_beside_a_store(self, tmp_path,
+                                                          capsys):
+        from repro.design import open_cache
+
+        cache_dir = tmp_path / "cache"
+        with open_cache(cache_dir) as cache:
+            cache.put("c" * 64, {"verdict": "FAIL"})
+        self._journal(cache_dir, "a" * 64, "b" * 64)
+        assert main(["cache", "migrate", "--cache-dir", str(cache_dir)]) == 0
+        assert "migrated: 2" in capsys.readouterr().out
+        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        assert "records: 3" in capsys.readouterr().out
+        assert not (cache_dir / "results.jsonl").exists()
+        assert (cache_dir / "results.jsonl.migrated").exists()
 
     def test_verify_damaged_sqlite_cache_exits_3(self, tmp_path, capsys):
         import sqlite3

@@ -389,9 +389,9 @@ class TestExplorationEncodingEquivalence:
             assert composed["safety"]["ok"] == fused["safety"]["ok"]
 
     def test_cached_second_exploration_is_identical(self, tmp_path):
-        from repro.design import ResultCache, explore
-        cold = explore(self._space(), cache=ResultCache(tmp_path))
-        warm = explore(self._space(), cache=ResultCache(tmp_path))
+        from repro.design import explore, open_cache
+        cold = explore(self._space(), cache=open_cache(tmp_path))
+        warm = explore(self._space(), cache=open_cache(tmp_path))
         assert all(r["cached"] for r in warm.results)
         for first, second in zip(cold.results, warm.results):
             assert first["verdict"] == second["verdict"]

@@ -225,7 +225,7 @@ _EXPLORE_PC = textwrap.dedent("""
     from repro import design
     from repro.systems.producer_consumer import pc_design_space
     design.explore(pc_design_space(),
-                   cache=design.open_cache(sys.argv[1], backend="sqlite"))
+                   cache=design.open_cache(sys.argv[1]))
 """)
 
 _EXPLORE_BRIDGE = textwrap.dedent("""
@@ -237,7 +237,7 @@ _EXPLORE_BRIDGE = textwrap.dedent("""
     from test_program_store import bridge_space
     report = design.explore(
         bridge_space(extra_send=True), invariants=[bridge_safety_prop()],
-        cache=design.open_cache(sys.argv[1], backend="sqlite"))
+        cache=design.open_cache(sys.argv[1]))
     print(json.dumps({"info": jit.program_cache_info(),
                       "results": [[r["variant"], r["verdict"], r["states"],
                                    r["detail"], r["cached"]]
@@ -276,8 +276,7 @@ class TestAcrossProcesses:
         invariants = [bridge_safety_prop()]
         clear_program_cache()
         design.explore(bridge_space(), invariants=invariants,
-                       cache=design.open_cache(str(tmp_path),
-                                               backend="sqlite"))
+                       cache=design.open_cache(str(tmp_path)))
         out = subprocess.run(
             [sys.executable, "-c", _EXPLORE_BRIDGE, str(tmp_path),
              os.path.dirname(__file__)],
@@ -294,9 +293,9 @@ class TestAcrossProcesses:
             for r in alone.results]
         assert sum(row[4] for row in second["results"]) == 4
 
-    def test_pooled_workers_fill_a_jsonl_store(self, tmp_path):
+    def test_pooled_workers_fill_the_store(self, tmp_path):
         clear_program_cache()
-        cache = design.open_cache(str(tmp_path), backend="jsonl")
+        cache = design.open_cache(str(tmp_path))
         report = design.explore(pc_design_space(), cache=cache, jobs=2)
         assert not report.warnings
         filled = _loadable(tmp_path)
