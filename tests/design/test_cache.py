@@ -1,53 +1,73 @@
-"""The persistent content-addressed result cache (JSONL backend)."""
+"""The verdict store as ``open_cache`` opens it, and the ``results.jsonl``
+journal it replaced, as ``migrate_jsonl_to_sqlite`` reads it."""
 
 import json
+import sqlite3
 
-import pytest
-
-from repro.design import CACHE_SCHEMA, CacheLockedError, ResultCache
+from repro.design import CACHE_SCHEMA, migrate_jsonl_to_sqlite, open_cache
+from repro.design.journal import append_entry
 
 FP_A = "a" * 64
 FP_B = "b" * 64
 FP_C = "c" * 64
 
 
+def write_journal(directory, records=(), raw_lines=()):
+    """Append checksummed ``(fingerprint, body)`` records, then raw
+    lines, to ``directory``'s ``results.jsonl``."""
+    with open(directory / "results.jsonl", "a") as fh:
+        for fingerprint, body in records:
+            append_entry(fh, {"schema": CACHE_SCHEMA,
+                              "fingerprint": fingerprint, **body})
+        for line in raw_lines:
+            fh.write(line + "\n")
+
+
 class TestRoundTrip:
     def test_put_get(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS", "states": 42})
-        got = cache.get(FP_A)
-        assert got["verdict"] == "PASS"
-        assert got["schema"] == CACHE_SCHEMA
-        assert got["fingerprint"] == FP_A
-        assert cache.get(FP_B) is None
+        with open_cache(tmp_path) as cache:
+            cache.put(FP_A, {"verdict": "PASS", "states": 42})
+            got = cache.get(FP_A)
+            assert got["verdict"] == "PASS"
+            assert got["states"] == 42
+            assert got["schema"] == CACHE_SCHEMA
+            assert got["fingerprint"] == FP_A
+            assert cache.get(FP_B) is None
 
     def test_persistence_across_instances(self, tmp_path):
-        ResultCache(tmp_path).put(FP_A, {"verdict": "FAIL"})
-        reopened = ResultCache(tmp_path)
-        assert FP_A in reopened
-        assert len(reopened) == 1
-        assert reopened.get(FP_A)["verdict"] == "FAIL"
+        with open_cache(tmp_path) as cache:
+            cache.put(FP_A, {"verdict": "FAIL"})
+        with open_cache(tmp_path) as reopened:
+            assert FP_A in reopened
+            assert len(reopened) == 1
+            assert reopened.get(FP_A)["verdict"] == "FAIL"
 
     def test_records_are_appended_immediately(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = open_cache(tmp_path)
         cache.put(FP_A, {"verdict": "PASS"})
-        # No flush() — a crashed run must not lose completed work.
-        lines = (tmp_path / "results.jsonl").read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["fingerprint"] == FP_A
+        # No flush() or close() — a crashed run must not lose completed
+        # work, so another connection already sees the committed row.
+        other = sqlite3.connect(tmp_path / "cache.sqlite")
+        try:
+            rows = other.execute("SELECT fingerprint FROM records").fetchall()
+        finally:
+            other.close()
+            cache.close()
+        assert rows == [(FP_A,)]
 
     def test_last_record_wins(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "UNKNOWN"})
-        cache.put(FP_A, {"verdict": "PASS"})
-        assert ResultCache(tmp_path).get(FP_A)["verdict"] == "PASS"
+        with open_cache(tmp_path) as cache:
+            cache.put(FP_A, {"verdict": "UNKNOWN"})
+            cache.put(FP_A, {"verdict": "PASS"})
+        with open_cache(tmp_path) as reopened:
+            assert reopened.get(FP_A)["verdict"] == "PASS"
 
     def test_stats_count_hits_misses_stored(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.get(FP_A)
-        cache.put(FP_A, {"verdict": "PASS"})
-        cache.get(FP_A)
-        stats = cache.stats()
+        with open_cache(tmp_path) as cache:
+            cache.get(FP_A)
+            cache.put(FP_A, {"verdict": "PASS"})
+            cache.get(FP_A)
+            stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
         assert stats["stored"] == 1
@@ -55,212 +75,84 @@ class TestRoundTrip:
 
 class TestResilienceToDamage:
     def test_corrupt_lines_are_skipped(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS"})
-        with open(tmp_path / "results.jsonl", "a") as fh:
-            fh.write("{not json\n")
-            fh.write(json.dumps({"schema": "other/1",
-                                 "fingerprint": FP_B}) + "\n")
-            fh.write(json.dumps({"schema": CACHE_SCHEMA}) + "\n")
-        reopened = ResultCache(tmp_path)
-        assert len(reopened) == 1  # only the well-formed record survives
-        assert reopened.get(FP_A)["verdict"] == "PASS"
-        assert reopened.get(FP_B) is None
-        stats = reopened.stats()
+        write_journal(tmp_path, [(FP_A, {"verdict": "PASS"})], [
+            "{not json",
+            json.dumps({"schema": "other/1", "fingerprint": FP_B}),
+            json.dumps({"schema": CACHE_SCHEMA}),
+        ])
+        summary = migrate_jsonl_to_sqlite(tmp_path)
+        assert summary["migrated"] == 1  # only the well-formed record
         # Unparseable line = corrupt (damage); well-formed-but-foreign
         # lines (other schema, no fingerprint) = skipped.
-        assert stats["corrupt_lines"] == 1
-        assert stats["skipped_lines"] == 2
+        assert summary["corrupt_lines"] == 1
+        assert summary["skipped_lines"] == 2
+        with open_cache(tmp_path) as migrated:
+            assert len(migrated) == 1
+            assert migrated.get(FP_A)["verdict"] == "PASS"
+            assert migrated.get(FP_B) is None
 
     def test_stats_and_verify_classify_lines_identically(self, tmp_path):
-        # One of each line class: live, superseded, legacy, foreign
-        # schema, no fingerprint, unparseable, failed checksum.
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "UNKNOWN"})
-        cache.put(FP_A, {"verdict": "PASS"})
-        with open(tmp_path / "results.jsonl", "a") as fh:
-            fh.write(json.dumps({"schema": CACHE_SCHEMA,
-                                 "fingerprint": FP_B,
-                                 "verdict": "PASS"}) + "\n")  # legacy
-            fh.write(json.dumps({"schema": "other/1",
-                                 "fingerprint": FP_B}) + "\n")
-            fh.write(json.dumps({"schema": CACHE_SCHEMA}) + "\n")
-            fh.write("{not json\n")
-            fh.write(json.dumps({"schema": CACHE_SCHEMA,
-                                 "fingerprint": FP_B, "crc": 1,
-                                 "verdict": "FAIL"}) + "\n")  # bad crc
-        reopened = ResultCache(tmp_path)
-        stats = reopened.stats()
-        audit = reopened.verify()
-        for key in ("corrupt_lines", "skipped_lines", "legacy_lines"):
-            assert stats[key] == audit[key], key
-        assert audit["corrupt_lines"] == 2
-        assert audit["skipped_lines"] == 2
-        assert audit["legacy_lines"] == 1
-        assert audit["superseded_lines"] == 1
-        assert audit["records"] == len(reopened) == 2
+        # One of each line class: live, superseded, legacy (no crc),
+        # foreign schema, no fingerprint, unparseable, failed checksum.
+        write_journal(tmp_path, [(FP_A, {"verdict": "UNKNOWN"}),
+                                 (FP_A, {"verdict": "PASS"})], [
+            json.dumps({"schema": CACHE_SCHEMA, "fingerprint": FP_B,
+                        "verdict": "PASS"}),
+            json.dumps({"schema": "other/1", "fingerprint": FP_C}),
+            json.dumps({"schema": CACHE_SCHEMA}),
+            "{not json",
+            json.dumps({"schema": CACHE_SCHEMA, "fingerprint": FP_C,
+                        "crc": 1, "verdict": "FAIL"}),
+        ])
+        summary = migrate_jsonl_to_sqlite(tmp_path)
+        assert summary["migrated"] == summary["verified"] == 2
+        assert summary["corrupt_lines"] == 2
+        assert summary["skipped_lines"] == 2
+        with open_cache(tmp_path) as migrated:
+            stats = migrated.stats()
+            audit = migrated.verify()
+            assert stats["records"] == audit["records"] == len(migrated) == 2
+            assert stats["corrupt_records"] == audit["corrupt_records"] == 0
+            assert audit["ok"]  # the legacy row got its crc
+            assert migrated.get(FP_A)["verdict"] == "PASS"
+            assert migrated.get(FP_B)["verdict"] == "PASS"  # legacy
+            assert migrated.get(FP_C) is None
 
     def test_missing_directory_is_created(self, tmp_path):
         nested = tmp_path / "deep" / "cache"
-        ResultCache(nested).put(FP_A, {"verdict": "PASS"})
-        assert (nested / "results.jsonl").exists()
-
-    def test_corrupt_index_json_is_rebuilt_from_journal(self, tmp_path):
-        # Regression: a truncated/garbled index.json used to be fatal;
-        # the journal is the source of truth, the index only a snapshot.
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS"})
-        cache.flush()
-        (tmp_path / "index.json").write_text('{"schema": "repro.desi')
-        reopened = ResultCache(tmp_path)
-        assert reopened.get(FP_A)["verdict"] == "PASS"
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["fingerprints"] == [FP_A]
-        assert reopened.verify()["ok"]
-
-    def test_stale_index_is_refreshed_on_open(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS"})
-        cache.flush()
-        cache.put(FP_B, {"verdict": "FAIL"})  # journaled, not snapshotted
-        reopened = ResultCache(tmp_path)
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["fingerprints"] == sorted([FP_A, FP_B])
-        assert reopened.verify()["index_fresh"]
+        with open_cache(nested) as cache:
+            cache.put(FP_A, {"verdict": "PASS"})
+        assert (nested / "cache.sqlite").exists()
 
     def test_checksum_detects_flipped_bytes(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS"})
+        write_journal(tmp_path, [(FP_A, {"verdict": "PASS"})])
         path = tmp_path / "results.jsonl"
         path.write_text(path.read_text().replace('"PASS"', '"FAIL"'))
-        reopened = ResultCache(tmp_path)
-        assert reopened.get(FP_A) is None  # damaged record is not served
-        audit = reopened.verify()
-        assert audit["corrupt_lines"] == 1
-        assert not audit["ok"]
+        summary = migrate_jsonl_to_sqlite(tmp_path)
+        assert summary["migrated"] == 0
+        assert summary["corrupt_lines"] == 1
+        # the damaged bytes are kept for post-mortems, never served
+        assert (tmp_path / "results.jsonl.migrated").exists()
+        with open_cache(tmp_path) as migrated:
+            assert migrated.get(FP_A) is None
 
     def test_legacy_lines_without_crc_still_load(self, tmp_path):
         record = {"schema": CACHE_SCHEMA, "fingerprint": FP_A,
                   "verdict": "PASS"}
-        (tmp_path / "results.jsonl").write_text(json.dumps(record) + "\n")
-        cache = ResultCache(tmp_path)
-        assert cache.get(FP_A)["verdict"] == "PASS"
-        assert cache.stats()["legacy_lines"] == 1
+        write_journal(tmp_path, raw_lines=[json.dumps(record)])
+        summary = migrate_jsonl_to_sqlite(tmp_path)
+        assert summary["migrated"] == 1
+        assert summary["corrupt_lines"] == summary["skipped_lines"] == 0
+        with open_cache(tmp_path) as migrated:
+            assert migrated.get(FP_A) == record
+            assert migrated.verify()["ok"]  # the row got its crc
 
 
 class TestVerifyAndCompact:
     def test_verify_clean_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS"})
-        cache.flush()
-        audit = cache.verify()
-        assert audit == {"backend": "jsonl", "records": 1, "lines": 1,
-                         "superseded_lines": 0, "corrupt_lines": 0,
-                         "skipped_lines": 0, "legacy_lines": 0,
-                         "index_fresh": True, "ok": True}
-
-    def test_compact_drops_superseded_and_upgrades_legacy(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "UNKNOWN"})
-        cache.put(FP_A, {"verdict": "PASS"})
-        cache.put(FP_B, {"verdict": "FAIL"})
-        outcome = cache.compact()
-        assert outcome == {"before_lines": 3, "after_lines": 2}
-        reopened = ResultCache(tmp_path)
-        assert reopened.get(FP_A)["verdict"] == "PASS"
-        assert reopened.get(FP_B)["verdict"] == "FAIL"
-        assert reopened.verify()["superseded_lines"] == 0
-
-
-class TestIndex:
-    def test_flush_writes_index(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_B, {"verdict": "PASS"})
-        cache.put(FP_A, {"verdict": "FAIL"})
-        cache.flush()
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["schema"] == CACHE_SCHEMA
-        assert index["records"] == 2
-        assert index["results_bytes"] > 0
-        assert index["fingerprints"] == sorted([FP_A, FP_B])
-
-    def test_flush_uses_unique_temp_names(self, tmp_path):
-        # Regression: the fixed "index.json.tmp" path let two processes
-        # interleave write/replace and publish a torn snapshot.  A
-        # squatter at the old path must survive a flush untouched.
-        sentinel = tmp_path / "index.json.tmp"
-        sentinel.write_text("squatter")
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "PASS"})
-        cache.flush()
-        assert sentinel.read_text() == "squatter"
-        index = json.loads((tmp_path / "index.json").read_text())
-        assert index["fingerprints"] == [FP_A]
-        # and no temp litter is left behind
-        stray = [p.name for p in tmp_path.iterdir()
-                 if p.name.startswith("index.json.") and p != sentinel
-                 and p.name != "index.json"]
-        assert stray == []
-
-
-class TestWriterLock:
-    def test_second_concurrent_writer_fails_loudly(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put(FP_A, {"verdict": "PASS"})
-        second = ResultCache(tmp_path)
-        assert second.get(FP_A)["verdict"] == "PASS"  # reads never lock
-        with pytest.raises(CacheLockedError):
-            second.put(FP_B, {"verdict": "FAIL"})
-        with pytest.raises(CacheLockedError):
-            second.compact()
-        first.close()
-
-    def test_close_releases_the_lock(self, tmp_path):
-        first = ResultCache(tmp_path)
-        first.put(FP_A, {"verdict": "PASS"})
-        first.close()
-        second = ResultCache(tmp_path)
-        second.put(FP_B, {"verdict": "FAIL"})  # lock is free again
-        second.close()
-        assert len(ResultCache(tmp_path)) == 2
-
-    def test_context_manager_closes(self, tmp_path):
-        with ResultCache(tmp_path) as cache:
+        with open_cache(tmp_path) as cache:
             cache.put(FP_A, {"verdict": "PASS"})
-        with ResultCache(tmp_path) as cache:  # would raise if still held
-            cache.put(FP_B, {"verdict": "FAIL"})
-
-    def test_relock_resyncs_from_disk(self, tmp_path):
-        # Regression for the lost-acknowledged-write window: writer A
-        # appends and closes; writer B (opened *before* that append)
-        # compacts.  B must first re-read the journal under the lock, or
-        # A's acknowledged record vanishes through the os.replace.
-        b = ResultCache(tmp_path)
-        with ResultCache(tmp_path) as a:
-            a.put(FP_A, {"verdict": "PASS"})
-        b.compact()
-        b.close()
-        assert ResultCache(tmp_path).get(FP_A)["verdict"] == "PASS"
-
-
-class TestFsck:
-    def test_fsck_drops_damage_and_rewrites(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(FP_A, {"verdict": "UNKNOWN"})
-        cache.put(FP_A, {"verdict": "PASS"})
-        with open(tmp_path / "results.jsonl", "a") as fh:
-            fh.write("{torn\n")
-            fh.write(json.dumps({"schema": "other/1"}) + "\n")
-        cache.close()
-        fixer = ResultCache(tmp_path)
-        outcome = fixer.fsck()
-        fixer.close()
-        assert outcome["backend"] == "jsonl"
-        assert outcome["dropped_corrupt"] == 1
-        assert outcome["dropped_skipped"] == 1
-        assert outcome["dropped_superseded"] == 1
-        assert outcome["after_lines"] == 1
-        clean = ResultCache(tmp_path)
-        assert clean.get(FP_A)["verdict"] == "PASS"
-        audit = clean.verify()
-        assert audit["ok"] and audit["corrupt_lines"] == 0
+            audit = cache.verify()
+        assert audit == {"backend": "sqlite", "records": 1,
+                         "corrupt_records": 0, "integrity": "ok",
+                         "quarantined": None, "ok": True}

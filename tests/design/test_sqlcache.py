@@ -17,7 +17,6 @@ from repro.design.journal import append_entry
 
 FP_A = "a" * 64
 FP_B = "b" * 64
-FP_C = "c" * 64
 
 
 def write_journal(directory, records=(), raw_lines=()):
@@ -84,12 +83,6 @@ class TestRoundTrip:
             pairs = list(cache.items())
             assert [fp for fp, _ in pairs] == [FP_A, FP_B]
             assert cache.hits == 0 and cache.misses == 0
-
-    def test_missing_directory_is_created(self, tmp_path):
-        nested = tmp_path / "deep" / "cache"
-        with open_cache(nested) as cache:
-            cache.put(FP_A, {"verdict": "PASS"})
-        assert (nested / "cache.sqlite").exists()
 
 
 class TestIntegrity:
@@ -279,30 +272,6 @@ class TestMigrate:
         with open_cache(tmp_path) as migrated:
             assert migrated.get(FP_A)["verdict"] == "PASS"
             assert migrated.verify()["ok"]
-
-    def test_every_line_class_is_counted_and_legacy_lines_migrate(
-            self, tmp_path):
-        # One of each line class: live, superseded, legacy (no crc),
-        # foreign schema, no fingerprint, unparseable, failed checksum.
-        write_journal(tmp_path, [(FP_A, {"verdict": "UNKNOWN"}),
-                                 (FP_A, {"verdict": "PASS"})], [
-            json.dumps({"schema": CACHE_SCHEMA, "fingerprint": FP_B,
-                        "verdict": "PASS"}),
-            json.dumps({"schema": "other/1", "fingerprint": FP_C}),
-            json.dumps({"schema": CACHE_SCHEMA}),
-            "{not json",
-            json.dumps({"schema": CACHE_SCHEMA, "fingerprint": FP_C,
-                        "crc": 1, "verdict": "FAIL"}),
-        ])
-        summary = migrate_jsonl_to_sqlite(tmp_path)
-        assert summary["migrated"] == summary["verified"] == 2
-        assert summary["corrupt_lines"] == 2
-        assert summary["skipped_lines"] == 2
-        with open_cache(tmp_path) as migrated:
-            assert migrated.get(FP_A)["verdict"] == "PASS"
-            assert migrated.get(FP_B)["verdict"] == "PASS"  # legacy
-            assert migrated.get(FP_C) is None
-            assert migrated.verify()["ok"]  # the legacy row got its crc
 
     def test_directory_without_a_journal_is_left_alone(self, tmp_path):
         assert migrate_jsonl_to_sqlite(tmp_path) is None
